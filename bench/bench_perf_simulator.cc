@@ -552,9 +552,10 @@ main()
 
     // --- Repeated-schedule shot workload: the original acceptance
     // criterion. Legacy baseline = the seed code path (no memoization,
-    // one thread, no drift kernel, scalar dispatch) so the 5x gate
-    // keeps measuring against the same pre-cache baseline; optimized =
-    // shared cache + up to four threads + overhauled kernels.
+    // one thread, looped shots, no drift kernel, scalar dispatch) so
+    // the 5x gate keeps measuring against the same pre-cache baseline;
+    // optimized = shared cache + up to four threads + batched panels +
+    // overhauled kernels.
     PulseSimulator shot_sim_legacy(calibrator.qubitModel(0));
     shot_sim_legacy.setDriftKernelEnabled(false);
     const PulseSimulator shot_sim(calibrator.qubitModel(0));
@@ -563,6 +564,7 @@ main()
     legacy.seed = 7;
     legacy.useCache = false;
     legacy.maxThreads = 1;
+    legacy.batchWidth = 1;
     const kernels::SimdMode dispatch_mode = kernels::activeSimd();
     kernels::setActiveSimd(kernels::SimdMode::Scalar);
     auto start = Clock::now();

@@ -15,8 +15,13 @@ namespace qpulse {
 
 namespace {
 
-/** Set inside workerLoop so nested parallelFor calls run inline. */
-thread_local bool tls_in_worker = false;
+/**
+ * Set for pool workers and, while it runs its own lane, for the thread
+ * that called parallelFor: nested parallelFor calls from either run
+ * inline. (A nested loop the caller queued could only start once the
+ * workers finished their outer lanes, stalling the caller meanwhile.)
+ */
+thread_local bool tls_in_loop = false;
 
 /** Stable per-pool identity: 0 = main/external, 1.. = workers. */
 thread_local std::size_t tls_worker_id = 0;
@@ -71,7 +76,7 @@ ThreadPool::currentWorkerName()
 void
 ThreadPool::workerLoop(std::size_t worker_id)
 {
-    tls_in_worker = true;
+    tls_in_loop = true;
     tls_worker_id = worker_id;
     tls_worker_name = "worker-" + std::to_string(worker_id);
     // Hook for the tracer's per-thread buffers: spans recorded from
@@ -121,7 +126,7 @@ ThreadPool::parallelFor(std::size_t n,
     if (maxThreads > 0)
         width = std::min(width, maxThreads);
     width = std::min(width, n);
-    if (width <= 1 || workers_.empty() || tls_in_worker) {
+    if (width <= 1 || workers_.empty() || tls_in_loop) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
@@ -168,7 +173,10 @@ ThreadPool::parallelFor(std::size_t n,
     }
     wake_.notify_all();
 
-    run(); // The caller participates as the width-th lane.
+    // The caller participates as the width-th lane.
+    tls_in_loop = true;
+    run();
+    tls_in_loop = false;
 
     {
         std::unique_lock<std::mutex> lock(state->doneMutex);

@@ -71,7 +71,8 @@ class ThreadPool
      * iteration has finished. The first exception thrown by any
      * iteration is rethrown on the calling thread (remaining
      * iterations still run to completion). Runs inline when the pool
-     * has no workers, n <= 1, or the caller is itself a pool worker.
+     * has no workers, n <= 1, or the caller is itself running a
+     * parallelFor body (as a pool worker or as the calling lane).
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body,

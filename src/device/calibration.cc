@@ -1,14 +1,21 @@
 #include "device/calibration.h"
 
+#include <array>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <cmath>
 #include <sstream>
 
 #include "common/constants.h"
+#include "common/thread_pool.h"
 #include "linalg/gates.h"
 #include "opt/fitting.h"
 #include "opt/nelder_mead.h"
 #include "opt/spsa.h"
 #include "synth/euler.h"
+#include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace qpulse {
 
@@ -181,6 +188,27 @@ marginalPopulation(const Vector &state, std::size_t which,
     return total;
 }
 
+/**
+ * Run sweep(index) on the pool for every entry of `todo` (memo key ->
+ * the first index with that key) and memoise each result under its
+ * key.
+ */
+template <typename Cal, typename Sweep>
+void
+sweepInto(std::map<std::string, Cal> &memo,
+          const std::map<std::string, std::size_t> &todo,
+          const Sweep &sweep)
+{
+    const std::vector<std::pair<std::string, std::size_t>> jobs(
+        todo.begin(), todo.end());
+    std::vector<Cal> results(jobs.size());
+    parallelFor(jobs.size(), [&](std::size_t i) {
+        results[i] = sweep(jobs[i].second);
+    });
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        memo[jobs[i].first] = std::move(results[i]);
+}
+
 } // namespace
 
 QubitCalibration
@@ -190,7 +218,18 @@ Calibrator::calibrateQubit(std::size_t qubit)
     const auto cached = qubitCache_.find(key);
     if (cached != qubitCache_.end())
         return cached->second;
+    return qubitCache_[key] = sweepQubit(qubit);
+}
 
+QubitCalibration
+Calibrator::sweepQubit(std::size_t qubit) const
+{
+    // Counted here, after the memo and calibrateAll's dedupe, so the
+    // count is work done and does not depend on QPULSE_THREADS.
+    static telemetry::Counter &c_sweeps =
+        telemetry::MetricsRegistry::global().counter(
+            "calibration.qubit_sweeps");
+    c_sweeps.increment();
     PulseSimulator sim(qubitModel(qubit));
     QubitCalibration cal;
     cal.duration = config_.pulseDuration;
@@ -252,8 +291,6 @@ Calibrator::calibrateQubit(std::size_t qubit)
     cal.x180Amp = brentMinimize(miss_for, 0.85 * cal.x180Amp,
                                 1.15 * cal.x180Amp, 1e-7);
     cal.x90Amp = cal.x180Amp / 2.0;
-
-    qubitCache_[key] = cal;
     return cal;
 }
 
@@ -341,6 +378,35 @@ echoBody(const CrCalibration &cr, const QubitCalibration &control_cal,
     return schedule;
 }
 
+/** The 9x9 pair propagator projected onto the 2x2 (x) 2x2 subspace. */
+Matrix
+qubitSubspace(const Matrix &u)
+{
+    const std::size_t idx[4] = {0, 1, 3, 4};
+    Matrix p(4, 4);
+    for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t c = 0; c < 4; ++c)
+            p(r, c) = u(idx[r], idx[c]);
+    return p;
+}
+
+/**
+ * Infidelity of the echo `u_qubit` to CR(theta) after the free
+ * virtual-Z fixes p = {phi_control_after, phi_target_after, psi_axis}:
+ * the psi sandwich rotates the echo's target axis onto X, the two
+ * after-phases absorb the Stark-like IZ/ZI residuals.
+ */
+Objective
+phaseFixObjective(const Matrix &u_qubit, double theta)
+{
+    return [u_qubit, target_u = gates::cr(theta)](
+               const std::vector<double> &p) {
+        const Matrix after = kron(gates::rz(p[0]), gates::rz(p[1] - p[2]));
+        const Matrix before = kron(Matrix::identity(2), gates::rz(p[2]));
+        return 1.0 - unitaryOverlap(target_u, after * u_qubit * before);
+    };
+}
+
 } // namespace
 
 CrCalibration
@@ -358,8 +424,18 @@ Calibrator::calibrateCr(std::size_t control, std::size_t target,
         cal.target = target;
         return cal;
     }
+    return crCache_[key] = sweepCr(control, target, control_cal);
+}
 
-    PulseSimulator sim = pairSimulator(control, target);
+CrCalibration
+Calibrator::sweepCr(std::size_t control, std::size_t target,
+                    const QubitCalibration &control_cal) const
+{
+    static telemetry::Counter &c_sweeps =
+        telemetry::MetricsRegistry::global().counter(
+            "calibration.cr_sweeps");
+    c_sweeps.increment();
+    const PulseSimulator sim = pairSimulator(control, target);
     CrCalibration cal;
     cal.control = control;
     cal.target = target;
@@ -375,15 +451,19 @@ Calibrator::calibrateCr(std::size_t control, std::size_t target,
     // match offset + A cos(2 pi f flat + phase) by theta = 2 pi f flat
     // + phase - pi. (The zero-flat intercept is the small edge-area
     // angle; fit noise can push it marginally negative, so clamp.)
+    // The points are independent, so they run on the pool (inline when
+    // calibrateAll already runs edges in parallel).
     auto fringe_scan = [&]() {
-        std::vector<double> flats, p1s;
-        for (long flat = 0; flat <= 1600; flat += 100) {
+        constexpr std::size_t kPoints = 17;
+        std::vector<double> flats(kPoints), p1s(kPoints);
+        parallelFor(kPoints, [&](std::size_t i) {
+            const long flat = 100 * static_cast<long>(i);
             const Schedule schedule =
                 echoBody(cal, control_cal, flat, 1.0, 1.0);
             const Vector out = sim.evolveState(schedule, ground);
-            flats.push_back(static_cast<double>(flat));
-            p1s.push_back(marginalPopulation(out, 1, 1, 2, 3));
-        }
+            flats[i] = static_cast<double>(flat);
+            p1s[i] = marginalPopulation(out, 1, 1, 2, 3);
+        });
         const FitResult fit = fitCosine(flats, p1s);
         cal.radPerDtFlat = 2.0 * kPi * fit.params[2];
         cal.radAtZeroFlat =
@@ -440,7 +520,8 @@ Calibrator::calibrateCr(std::size_t control, std::size_t target,
         };
         // Trim resolution 1e-4 bounds the angle error at ~0.01 deg —
         // far below the other residuals — while keeping calibration
-        // time reasonable.
+        // time reasonable. Each Brent step depends on the last, so the
+        // trim stays sequential.
         const double trim = brentMinimize(miss, 0.90, 1.10, 1e-4, 28);
         cal.amplitude *= trim;
         // The rate is only approximately linear in the drive, so
@@ -453,42 +534,31 @@ Calibrator::calibrateCr(std::size_t control, std::size_t target,
                     (kPi / 2 - cal.radAtZeroFlat) / cal.radPerDtFlat)));
     }
 
+    // The echoes the phase fixes are tuned on: CR(90) at flatFor90,
+    // then one per fix-table angle. They depend only on the pulse
+    // calibrated above, so they evolve in parallel up front.
+    const std::array<double, 5> fix_thetas = {kPi / 8, kPi / 4, kPi / 2,
+                                              3 * kPi / 4, kPi};
+    std::vector<Matrix> echoes(1 + fix_thetas.size());
+    parallelFor(echoes.size(), [&](std::size_t i) {
+        // The sign flip (if any) is already folded into cal.amplitude,
+        // so a +1.0 echo realises CR(+theta).
+        const auto stretch = i == 0
+            ? CrCalibration::Stretch{cal.flatFor90, 1.0}
+            : cal.stretchFor(fix_thetas[i - 1]);
+        const Schedule schedule = echoBody(cal, control_cal, stretch.flat,
+                                           stretch.ampScale, 1.0);
+        echoes[i] = qubitSubspace(sim.evolveUnitary(schedule).unitary);
+    });
+
     // --- Phase corrections: free Rz's after the echo that maximise
     //     fidelity to the ideal CR(90) (bootstrapped from simulated
     //     process tomography, not from the Hamiltonian). ---
     {
-        // The sign flip (if any) is already folded into cal.amplitude,
-        // so a +1.0 echo realises CR(+90).
-        const Schedule schedule =
-            echoBody(cal, control_cal, cal.flatFor90, 1.0, 1.0);
-        const UnitaryResult result = sim.evolveUnitary(schedule);
-
-        // Project the 9x9 propagator onto the 2x2 (x) 2x2 subspace.
-        auto project = [&](const Matrix &u) {
-            const std::size_t idx[4] = {0, 1, 3, 4};
-            Matrix p(4, 4);
-            for (std::size_t r = 0; r < 4; ++r)
-                for (std::size_t c = 0; c < 4; ++c)
-                    p(r, c) = u(idx[r], idx[c]);
-            return p;
-        };
-        const Matrix u_qubit = project(result.unitary);
-        const Matrix target_u = gates::cr(kPi / 2);
-        // p = {phi_control_after, phi_target_after, psi_axis}: the
-        // psi sandwich rotates the echo's target axis onto X, the two
-        // after-phases absorb the Stark-like IZ/ZI residuals. All
-        // three are free virtual-Z frame changes.
-        Objective objective = [&](const std::vector<double> &p) {
-            const Matrix after =
-                kron(gates::rz(p[0]), gates::rz(p[1] - p[2]));
-            const Matrix before =
-                kron(Matrix::identity(2), gates::rz(p[2]));
-            return 1.0 -
-                   unitaryOverlap(target_u, after * u_qubit * before);
-        };
         Rng rng(0xCA1);
         const OptResult best = nelderMeadMultiStart(
-            objective, {0.0, 0.0, 0.0}, 12, kPi, rng);
+            phaseFixObjective(echoes[0], kPi / 2), {0.0, 0.0, 0.0}, 12,
+            kPi, rng);
         // The after-fixes are scaled linearly with theta when the CR
         // is stretched, so they must be the wrapped representatives
         // (an unwrapped 2pi offset would not scale equivalently).
@@ -500,60 +570,72 @@ Calibrator::calibrateCr(std::size_t control, std::size_t target,
     // --- Per-angle fix table: the Stark residuals are not exactly
     //     linear in the stretch, so measure them at several net
     //     angles. Each point seeds from the previous one so the
-    //     table stays on a continuous branch (no 2 pi jumps). ---
-    {
-        auto project = [&](const Matrix &u) {
-            const std::size_t idx[4] = {0, 1, 3, 4};
-            Matrix p(4, 4);
-            for (std::size_t r = 0; r < 4; ++r)
-                for (std::size_t c = 0; c < 4; ++c)
-                    p(r, c) = u(idx[r], idx[c]);
-            return p;
-        };
-        std::vector<double> seed = {cal.phaseFixControl / 4.0,
-                                    cal.phaseFixTarget / 4.0,
-                                    cal.axisPhaseTarget};
-        for (double theta : {kPi / 8, kPi / 4, kPi / 2, 3 * kPi / 4,
-                             kPi}) {
-            const auto stretch = cal.stretchFor(theta);
-            const Schedule schedule = echoBody(
-                cal, control_cal, stretch.flat, stretch.ampScale, 1.0);
-            const UnitaryResult result = sim.evolveUnitary(schedule);
-            const Matrix u_qubit = project(result.unitary);
-            const Matrix target_u = gates::cr(theta);
-            Objective objective = [&](const std::vector<double> &p) {
-                const Matrix after =
-                    kron(gates::rz(p[0]), gates::rz(p[1] - p[2]));
-                const Matrix before =
-                    kron(Matrix::identity(2), gates::rz(p[2]));
-                return 1.0 - unitaryOverlap(target_u,
-                                            after * u_qubit * before);
-            };
-            const OptResult best = nelderMead(objective, seed);
-            cal.fixTable.push_back(
-                {theta, best.x[0], best.x[1], best.x[2]});
-            seed = best.x;
-        }
+    //     table stays on a continuous branch (no 2 pi jumps), which
+    //     keeps this chain sequential. ---
+    std::vector<double> seed = {cal.phaseFixControl / 4.0,
+                                cal.phaseFixTarget / 4.0,
+                                cal.axisPhaseTarget};
+    for (std::size_t i = 0; i < fix_thetas.size(); ++i) {
+        const OptResult best = nelderMead(
+            phaseFixObjective(echoes[i + 1], fix_thetas[i]), seed);
+        cal.fixTable.push_back(
+            {fix_thetas[i], best.x[0], best.x[1], best.x[2]});
+        seed = best.x;
     }
-
-    crCache_[key] = cal;
     return cal;
 }
 
 PulseLibrary
 Calibrator::calibrateAll(bool include_qutrit)
 {
+    telemetry::TraceSpan span("calibration.sweep");
+
+    // Phase 1: one sweep per qubit key not memoised yet, in parallel.
+    // emplace keeps the first qubit with a key, the one a one-at-a-time
+    // pass would sweep.
+    std::map<std::string, std::size_t> qubit_sweeps;
+    for (std::size_t q = 0; q < config_.numQubits; ++q) {
+        const std::string key = qubitKey(config_.qubits[q]);
+        if (!qubitCache_.count(key))
+            qubit_sweeps.emplace(key, q);
+    }
+    sweepInto(qubitCache_, qubit_sweeps,
+              [this](std::size_t q) { return sweepQubit(q); });
+
     PulseLibrary library;
     library.config = config_;
-    for (std::size_t q = 0; q < config_.numQubits; ++q) {
-        QubitCalibration cal = calibrateQubit(q);
-        if (include_qutrit)
-            calibrateQutrit(q, cal);
-        library.qubits.push_back(cal);
+    for (std::size_t q = 0; q < config_.numQubits; ++q)
+        library.qubits.push_back(calibrateQubit(q));
+    if (include_qutrit)
+        parallelFor(library.qubits.size(), [&](std::size_t q) {
+            calibrateQutrit(q, library.qubits[q]);
+        });
+
+    // Phase 2: the same per edge key, each edge swept against the
+    // calibration of its control qubit.
+    const auto &edges = config_.couplings;
+    std::map<std::string, std::size_t> cr_sweeps;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+        const std::string key =
+            crKey(config_.qubits[edges[e].control],
+                  config_.qubits[edges[e].target], edges[e].strengthGhz);
+        if (!crCache_.count(key))
+            cr_sweeps.emplace(key, e);
     }
-    for (const auto &edge : config_.couplings)
+    sweepInto(crCache_, cr_sweeps, [&](std::size_t e) {
+        return sweepCr(edges[e].control, edges[e].target,
+                       library.qubits[edges[e].control]);
+    });
+
+    for (const auto &edge : edges)
         library.crs.push_back(calibrateCr(edge.control, edge.target,
                                           library.qubits[edge.control]));
+#if defined(__GLIBC__)
+    // The sweeps' evolution scratch was freed into the pool workers'
+    // malloc arenas, which keep about 1 MB each that the calling
+    // thread's later work cannot reuse. Hand it back to the OS.
+    malloc_trim(0);
+#endif
     return library;
 }
 

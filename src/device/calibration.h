@@ -119,7 +119,14 @@ class Calibrator
   public:
     explicit Calibrator(BackendConfig config);
 
-    /** Calibrate every qubit and every coupling edge. */
+    /**
+     * Calibrate every qubit and every coupling edge. The sweeps run on
+     * the shared ThreadPool in two phases: first one per distinct
+     * qubit, then one per distinct edge (distinct by physics, as the
+     * memo keys them). The library is bit-identical to the one the
+     * one-at-a-time calibrateQubit/calibrateCr calls produce, for any
+     * QPULSE_THREADS.
+     */
     PulseLibrary calibrateAll(bool include_qutrit = false);
 
     /** Calibrate the single-qubit pulses of one qubit. */
@@ -144,6 +151,13 @@ class Calibrator
                                  std::size_t target) const;
 
   private:
+    /** The experiments behind calibrateQubit, without the memo. */
+    QubitCalibration sweepQubit(std::size_t qubit) const;
+
+    /** The experiments behind calibrateCr, without the memo. */
+    CrCalibration sweepCr(std::size_t control, std::size_t target,
+                          const QubitCalibration &control_cal) const;
+
     BackendConfig config_;
     /** Memoised per-qubit results (identical params -> same pulses). */
     std::map<std::string, QubitCalibration> qubitCache_;

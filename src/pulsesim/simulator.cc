@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "common/constants.h"
 #include "common/status.h"
@@ -427,6 +428,22 @@ PulseSimulator::compileSteps(
         steps.push_back(
             DriveStep{std::move(key), sample, t_mid, 1});
     }
+    if (!cache_) {
+        // Mark the keys the per-call memo should keep: sort step
+        // indices by key, so equal keys end up adjacent.
+        std::vector<std::size_t> order(steps.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return steps[a].key.words < steps[b].key.words;
+                  });
+        for (std::size_t i = 1; i < order.size(); ++i) {
+            DriveStep &prev = steps[order[i - 1]];
+            DriveStep &cur = steps[order[i]];
+            if (prev.key == cur.key)
+                prev.repeats = cur.repeats = true;
+        }
+    }
     return steps;
 }
 
@@ -441,16 +458,25 @@ PulseSimulator::throwIfInterrupted() const
             "wall-clock deadline passed mid-evolution"));
 }
 
-PropagatorCache *
-PulseSimulator::activeCache(
-    std::unique_ptr<PropagatorCache> &local) const
+void
+PulseSimulator::cachedStepInto(const DriveStep &step,
+                               std::unique_ptr<PropagatorCache> &local,
+                               Matrix &out) const
 {
-    if (!cachingEnabled_)
-        return nullptr;
-    if (cache_)
-        return cache_.get();
-    local = std::make_unique<PropagatorCache>();
-    return local.get();
+    PropagatorCache *cache = cache_.get();
+    if (cache == nullptr) {
+        if (!step.repeats) {
+            out = stepPropagator(step.tMidNs, step.drives);
+            return;
+        }
+        if (!local)
+            local = std::make_unique<PropagatorCache>();
+        cache = local.get();
+    }
+    cache->getOrComputeInto(
+        step.key,
+        [this, &step] { return stepPropagator(step.tMidNs, step.drives); },
+        out);
 }
 
 Matrix
@@ -721,17 +747,11 @@ PulseSimulator::evolveUnitary(const Schedule &schedule) const
     Matrix u = Matrix::identity(model_.dim());
     if (cachingEnabled_) {
         std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
         Workspace pow_ws;
         Matrix step_u, u_pow, u_next;
         for (const DriveStep &step : compileSteps(drives, duration)) {
             checkInterrupt();
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
+            cachedStepInto(step, local, step_u);
             powmInto(u_pow, step_u, static_cast<std::uint64_t>(step.count),
                      pow_ws);
             gemmInto(u_next, u_pow, u);
@@ -824,17 +844,11 @@ PulseSimulator::evolveState(const Schedule &schedule,
     Vector state_next;
     if (cachingEnabled_) {
         std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
         Workspace pow_ws;
         Matrix step_u, u_pow;
         for (const DriveStep &step : compileSteps(drives, duration)) {
             checkInterrupt();
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
+            cachedStepInto(step, local, step_u);
             // Long runs (idle stretches, flat-tops): binary powering
             // costs log2(count) matmuls instead of count matvecs.
             if (step.count >= 8) {
@@ -1013,18 +1027,12 @@ PulseSimulator::evolveLindblad(const Schedule &schedule,
     Matrix u_rho, rho_next;
     if (cachingEnabled_) {
         std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
         Matrix step_u;
         for (const DriveStep &step : compileSteps(drives, duration)) {
             checkInterrupt();
             // The decoherence split interleaves with every sample, so
             // runs reuse the propagator but still step sample-wise.
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
+            cachedStepInto(step, local, step_u);
             for (long k = 0; k < step.count; ++k) {
                 gemmInto(u_rho, step_u, rho);
                 gemmAdjBInto(rho_next, u_rho, step_u);
@@ -1123,17 +1131,11 @@ PulseSimulator::evolveStatesBatched(const Schedule &schedule,
     StatePanel &next = ws.statePanel(0, dim, width);
     if (cachingEnabled_) {
         std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
         Matrix &step_u = ws.matrix(2, dim, dim);
         Matrix &u_pow = ws.matrix(3, dim, dim);
         for (const DriveStep &step : compileSteps(drives, duration)) {
             checkInterrupt();
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
+            cachedStepInto(step, local, step_u);
             // Long runs (idle stretches, flat-tops): binary powering
             // costs log2(count) matmuls instead of count panel gemms.
             if (step.count >= 8) {
@@ -1224,18 +1226,12 @@ PulseSimulator::evolveLindbladBatched(const Schedule &schedule,
     DensityPanel &stage = ws.densityPanel(1, dim, width);
     if (cachingEnabled_) {
         std::unique_ptr<PropagatorCache> local;
-        PropagatorCache *cache = activeCache(local);
         Matrix &step_u = ws.matrix(2, dim, dim);
         for (const DriveStep &step : compileSteps(drives, duration)) {
             checkInterrupt();
             // The decoherence split interleaves with every sample, so
             // runs reuse the propagator but still step sample-wise.
-            cache->getOrComputeInto(
-                step.key,
-                [this, &step] {
-                    return stepPropagator(step.tMidNs, step.drives);
-                },
-                step_u);
+            cachedStepInto(step, local, step_u);
             for (long k = 0; k < step.count; ++k) {
                 conjugatePanelInto(next, step_u, panel, stage);
                 std::swap(panel, next);

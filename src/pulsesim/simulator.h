@@ -223,6 +223,9 @@ class PulseSimulator
         std::vector<Complex> drives; ///< Per-transmon summed drive.
         double tMidNs = 0.0;         ///< Midpoint of the first sample.
         long count = 0;              ///< Run length in samples.
+        /** Another step of the same call has this key (marked only
+         *  when no cache is attached; see cachedStepInto). */
+        bool repeats = false;
     };
 
     /**
@@ -257,19 +260,25 @@ class PulseSimulator
 
     /**
      * Run-length-encode the drive timeline into DriveSteps (caching
-     * path only).
+     * path only). Without an attached cache it also marks the steps
+     * whose key occurs more than once.
      */
     std::vector<DriveStep> compileSteps(
         const std::vector<std::vector<Complex>> &drives,
         long duration) const;
 
     /**
-     * The cache to use for one evolve call: the attached cross-call
-     * cache if set, else `local` (per-call memoization), else null
-     * when caching is disabled.
+     * The propagator of one step on the caching path, into `out`.
+     * With an attached cache every step goes through it. Without one,
+     * only repeating steps are memoized, in `local` (created on first
+     * use); a key seen once is computed directly, so an evolution
+     * whose keys never repeat (a coupled pair: its key carries the
+     * coupling phase) allocates no memo. Both routes compute with
+     * stepPropagator, so the result is bit-identical either way.
      */
-    PropagatorCache *activeCache(
-        std::unique_ptr<PropagatorCache> &local) const;
+    void cachedStepInto(const DriveStep &step,
+                        std::unique_ptr<PropagatorCache> &local,
+                        Matrix &out) const;
 
     Matrix stepPropagator(double t_mid_ns,
                           const std::vector<Complex> &drives) const;

@@ -13,6 +13,8 @@
 #include "common/constants.h"
 #include "device/calibration.h"
 #include "linalg/gates.h"
+#include "store/serde.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace {
@@ -232,6 +234,53 @@ TEST_F(CalibrationTest, CalibrateAllCoversEverything)
     EXPECT_NO_THROW(library.cr(0, 1));
     EXPECT_THROW(library.cr(1, 0), FatalError);
     EXPECT_EQ(library.controlChannelIndex(0, 1), 0u);
+}
+
+/** Current value of a calibration work counter. */
+std::uint64_t
+counterValue(const char *name)
+{
+    return telemetry::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(CalibrationStandalone, CalibrateAllMatchesOneAtATime)
+{
+    // The pooled two-phase sweep must reproduce, bit for bit, the
+    // library the one-at-a-time calls assemble on a fresh Calibrator.
+    const BackendConfig config = almadenLineConfig(3);
+    const PulseLibrary pooled = Calibrator(config).calibrateAll(false);
+
+    Calibrator single(config);
+    PulseLibrary reference;
+    reference.config = config;
+    for (std::size_t q = 0; q < config.numQubits; ++q)
+        reference.qubits.push_back(single.calibrateQubit(q));
+    for (const auto &edge : config.couplings)
+        reference.crs.push_back(single.calibrateCr(
+            edge.control, edge.target, reference.qubits[edge.control]));
+
+    ASSERT_EQ(pooled.crs.size(), 2u);
+    EXPECT_EQ(store::hashPulseLibrary(pooled),
+              store::hashPulseLibrary(reference));
+}
+
+TEST(CalibrationStandalone, IdenticalQubitsSweepOnce)
+{
+    // Two qubits with the same physics share one memo key, so the
+    // pooled sweep runs once and both get the same pulses.
+    BackendConfig config = almadenLineConfig(2);
+    config.qubits[1] = config.qubits[0];
+    config.couplings.clear();
+    const std::uint64_t qubit_sweeps =
+        counterValue("calibration.qubit_sweeps");
+    const std::uint64_t cr_sweeps = counterValue("calibration.cr_sweeps");
+
+    const PulseLibrary library = Calibrator(config).calibrateAll(false);
+    EXPECT_EQ(counterValue("calibration.qubit_sweeps") - qubit_sweeps, 1u);
+    EXPECT_EQ(counterValue("calibration.cr_sweeps") - cr_sweeps, 0u);
+    ASSERT_EQ(library.qubits.size(), 2u);
+    EXPECT_EQ(library.qubits[0].x180Amp, library.qubits[1].x180Amp);
+    EXPECT_EQ(library.qubits[0].dragBeta, library.qubits[1].dragBeta);
 }
 
 TEST(CalibrationStandalone, ArmonkSingleQubit)

@@ -18,6 +18,8 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "compile/compiler.h"
+#include "linalg/state_panel.h"
+#include "linalg/workspace.h"
 #include "pulsesim/simulator.h"
 #include "telemetry/metrics.h"
 
@@ -196,6 +198,120 @@ TEST(PulseSimCache, TinyCapacityEvictsButStaysCorrect)
     EXPECT_LE(maxAbsDiff(a, b), 1e-12);
     EXPECT_LE(tiny->size(), 2u);
     EXPECT_GT(tiny->stats().evictions, 0u);
+}
+
+/** Global lookups (hits + misses) over every PropagatorCache. */
+std::uint64_t
+globalCacheLookups()
+{
+    auto &reg = telemetry::MetricsRegistry::global();
+    return reg.counter("pulsesim.cache.hits").value() +
+           reg.counter("pulsesim.cache.misses").value();
+}
+
+/**
+ * Runs every path that memoizes per call when no cache is attached —
+ * evolveState, evolveUnitary, evolveLindblad and both batched forms —
+ * once on `sim` (no cache) and once on a copy with a fresh
+ * caller-owned PropagatorCache per call. The results must be
+ * bit-identical. Returns the global cache lookups the uncached calls
+ * made.
+ */
+std::uint64_t
+expectPerCallMemoMatchesAttachedCache(const PulseSimulator &sim,
+                                      const Schedule &schedule)
+{
+    EXPECT_EQ(sim.propagatorCache(), nullptr);
+    const auto attached = [&] {
+        PulseSimulator copy = sim;
+        copy.setPropagatorCache(std::make_shared<PropagatorCache>());
+        return copy;
+    };
+    const std::size_t dim = sim.model().dim();
+    Vector ground(dim);
+    ground[0] = Complex{1.0, 0.0};
+    Matrix rho0(dim, dim);
+    rho0(0, 0) = Complex{1.0, 0.0};
+    StatePanel states(dim, 3);
+    states.setZero();
+    for (std::size_t col = 0; col < 3; ++col)
+        states.at(col, col) = Complex{1.0, 0.0};
+    DensityPanel rhos(dim, 2);
+    rhos.setZero();
+    for (std::size_t col = 0; col < 2; ++col)
+        rhos.at(col, col, col) = Complex{1.0, 0.0};
+
+    std::uint64_t lookups = 0;
+    const auto uncached = [&](const auto &call) {
+        const std::uint64_t before = globalCacheLookups();
+        auto result = call(sim);
+        lookups += globalCacheLookups() - before;
+        return result;
+    };
+
+    const auto state = [&](const PulseSimulator &s) {
+        return s.evolveState(schedule, ground).data();
+    };
+    EXPECT_TRUE(uncached(state) == state(attached()));
+
+    const auto unitary = [&](const PulseSimulator &s) {
+        return s.evolveUnitary(schedule).unitary.data();
+    };
+    EXPECT_TRUE(uncached(unitary) == unitary(attached()));
+
+    const auto lindblad = [&](const PulseSimulator &s) {
+        return s.evolveLindblad(schedule, rho0).data();
+    };
+    EXPECT_TRUE(uncached(lindblad) == lindblad(attached()));
+
+    const auto batched = [&](const PulseSimulator &s) {
+        StatePanel panel = states;
+        s.evolveStatesBatched(schedule, panel);
+        return panel.storage().data();
+    };
+    EXPECT_TRUE(uncached(batched) == batched(attached()));
+
+    const auto lindblad_batched = [&](const PulseSimulator &s) {
+        DensityPanel panel = rhos;
+        Workspace ws;
+        s.evolveLindbladBatched(schedule, panel, ws);
+        return panel.storage().data();
+    };
+    EXPECT_TRUE(uncached(lindblad_batched) ==
+                lindblad_batched(attached()));
+    return lookups;
+}
+
+TEST(PulseSimCache, PerCallMemoIsBitIdenticalWhereKeysRepeat)
+{
+    // Two identical DRAG pulses around an idle: on an uncoupled qubit
+    // the second pulse repeats every key of the first, so the per-call
+    // memo serves them.
+    TransmonParams qubit = testQubit();
+    qubit.t1Us = 50.0;
+    qubit.t2Us = 70.0;
+    const PulseSimulator sim(TransmonModel::single(qubit, 3));
+    Schedule schedule("drag-idle-drag");
+    const auto drag = std::make_shared<DragWaveform>(
+        160, 40.0, Complex{kPiAmp, 0.0}, 0.7);
+    schedule.play(driveChannel(0), drag);
+    schedule.delay(driveChannel(0), 40);
+    schedule.play(driveChannel(0), drag);
+
+    EXPECT_GT(expectPerCallMemoMatchesAttachedCache(sim, schedule), 0u);
+}
+
+TEST(PulseSimCache, PerCallMemoIsBitIdenticalWhereKeysNeverRepeat)
+{
+    // On the calibration's coupled pair every key carries the coupling
+    // phase, whose detuning is incommensurate with dt, so no key
+    // repeats and the uncached calls memoize nothing at all. (The
+    // 5.0/5.1 GHz test pair would repeat: its phase has a period of
+    // exactly 45 dt.)
+    const PulseSimulator sim =
+        Calibrator(almadenLineConfig(2)).pairSimulator(0, 1);
+    EXPECT_EQ(expectPerCallMemoMatchesAttachedCache(sim, crEchoSchedule()),
+              0u);
 }
 
 TEST(PulseSimCache, DriftKernelMatchesLegacyUncachedPath)
