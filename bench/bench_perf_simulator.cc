@@ -17,8 +17,9 @@
  * must agree with their reference to 1e-12 in max-abs difference.
  *
  * "Legacy" throughout means the pre-overhaul configuration, emulated
- * with setDriftKernelEnabled(false) + scalar kernel dispatch, so the
- * baselines stay comparable across PRs.
+ * with StepSource::Reference + scalar kernel dispatch, so the
+ * baselines stay comparable across PRs. "Uncached" in the evolve rows
+ * is StepSource::DriftKernel.
  */
 #include <chrono>
 #include <cmath>
@@ -81,9 +82,10 @@ struct EvolveRow
 };
 
 /**
- * Time `reps` repeated evolutions of one schedule with caching
- * disabled (legacy per-sample path) and with a fresh shared cache,
- * recording the hit rate and the max-abs difference of the results.
+ * Time `reps` repeated evolutions of one schedule on the per-sample
+ * drift-kernel source and on the cached source with a fresh shared
+ * cache, recording the hit rate and the max-abs difference of the
+ * results.
  */
 EvolveRow
 benchUnitary(const std::string &name, PulseSimulator sim,
@@ -93,14 +95,14 @@ benchUnitary(const std::string &name, PulseSimulator sim,
     row.name = name;
     row.reps = reps;
 
-    sim.setCachingEnabled(false);
+    sim.setStepSource(StepSource::DriftKernel);
     Matrix exact;
     auto start = Clock::now();
     for (int rep = 0; rep < reps; ++rep)
         exact = sim.evolveUnitary(schedule).unitary;
     row.uncachedMs = elapsedMs(start);
 
-    sim.setCachingEnabled(true);
+    sim.setStepSource(StepSource::Cached);
     auto cache = std::make_shared<PropagatorCache>();
     sim.setPropagatorCache(cache);
     Matrix cached;
@@ -125,14 +127,14 @@ benchLindblad(const std::string &name, PulseSimulator sim,
     Matrix rho0(sim.model().dim(), sim.model().dim());
     rho0(0, 0) = Complex{1.0, 0.0};
 
-    sim.setCachingEnabled(false);
+    sim.setStepSource(StepSource::DriftKernel);
     Matrix exact;
     auto start = Clock::now();
     for (int rep = 0; rep < reps; ++rep)
         exact = sim.evolveLindblad(schedule, rho0);
     row.uncachedMs = elapsedMs(start);
 
-    sim.setCachingEnabled(true);
+    sim.setStepSource(StepSource::Cached);
     auto cache = std::make_shared<PropagatorCache>();
     sim.setPropagatorCache(cache);
     Matrix cached;
@@ -264,9 +266,9 @@ struct UncachedRow
 };
 
 /**
- * Time the uncached path in the pre-overhaul configuration (drift
- * kernel off, scalar dispatch) against the overhauled default, and
- * record their propagator agreement.
+ * Time the pre-overhaul configuration (Reference source, scalar
+ * dispatch) against the drift-kernel source at the active dispatch
+ * tier, and record their propagator agreement.
  */
 UncachedRow
 benchUncachedOverhaul(const std::string &name, PulseSimulator sim,
@@ -275,10 +277,9 @@ benchUncachedOverhaul(const std::string &name, PulseSimulator sim,
     UncachedRow row;
     row.name = name;
     row.reps = reps;
-    sim.setCachingEnabled(false);
 
     const kernels::SimdMode saved = kernels::activeSimd();
-    sim.setDriftKernelEnabled(false);
+    sim.setStepSource(StepSource::Reference);
     kernels::setActiveSimd(kernels::SimdMode::Scalar);
     Matrix legacy_u;
     auto start = Clock::now();
@@ -286,7 +287,7 @@ benchUncachedOverhaul(const std::string &name, PulseSimulator sim,
         legacy_u = sim.evolveUnitary(schedule).unitary;
     row.legacyMs = elapsedMs(start);
 
-    sim.setDriftKernelEnabled(true);
+    sim.setStepSource(StepSource::DriftKernel);
     kernels::setActiveSimd(saved);
     Matrix fast_u;
     start = Clock::now();
@@ -311,9 +312,10 @@ struct BatchedRow
 
 /**
  * Time K looped evolveState calls against one evolveStatesBatched
- * panel of width K with caching DISABLED, so the measurement isolates
- * the panel engine's propagator sharing (every per-sample propagator
- * is computed K times looped, once batched) rather than cache reuse.
+ * panel of width K on the drift-kernel source (no cache), so the
+ * measurement isolates the panel engine's propagator sharing (every
+ * per-sample propagator is computed K times looped, once batched)
+ * rather than cache reuse.
  * Records the worst per-column max-abs final-state difference.
  */
 BatchedRow
@@ -323,7 +325,7 @@ benchBatchedEvolve(const std::string &name, PulseSimulator sim,
     BatchedRow row;
     row.name = name;
     row.width = width;
-    sim.setCachingEnabled(false);
+    sim.setStepSource(StepSource::DriftKernel);
 
     const std::size_t dim = sim.model().dim();
     Vector ground(dim);
@@ -351,12 +353,34 @@ benchBatchedEvolve(const std::string &name, PulseSimulator sim,
     return row;
 }
 
+/** Worst cached-vs-uncached max-abs difference over the evolve rows. */
+double
+cachedMaxDiff(const std::vector<EvolveRow> &rows)
+{
+    double worst = 0.0;
+    for (const EvolveRow &row : rows)
+        worst = std::max(worst, row.maxDiff);
+    return worst;
+}
+
+/** Every acceptance bar, speedups and agreement alike. */
+bool
+accepted(const std::vector<EvolveRow> &rows, const UncachedRow &uncached,
+         const BatchedRow &batched, double shot_speedup,
+         bool counts_match)
+{
+    return shot_speedup >= 5.0 && uncached.speedup() >= 3.0 &&
+           uncached.maxDiff <= 1e-12 && batched.speedup() >= 3.0 &&
+           batched.maxDiff <= 1e-12 && cachedMaxDiff(rows) <= 1e-12 &&
+           counts_match;
+}
+
 void
 writeJson(const std::vector<EvolveRow> &rows,
           const std::vector<KernelRow> &kernels,
           const UncachedRow &uncached, const BatchedRow &batched,
           long shots, double baseline_ms, double optimized_ms,
-          double shot_hit_rate, std::size_t threads)
+          double shot_hit_rate, bool counts_match, std::size_t threads)
 {
     std::FILE *out = bench::openBenchJson("BENCH_pulsesim.json");
     if (out == nullptr)
@@ -417,11 +441,8 @@ writeJson(const std::vector<EvolveRow> &rows,
                  batched.batchedMs, batched.speedup(), batched.maxDiff,
                  kernels::simdModeName(kernels::activeSimd()));
     bench::writeTelemetryField(out);
-    const bool pass = shot_speedup >= 5.0 &&
-                      uncached.speedup() >= 3.0 &&
-                      uncached.maxDiff <= 1e-12 &&
-                      batched.speedup() >= 3.0 &&
-                      batched.maxDiff <= 1e-12;
+    const bool pass =
+        accepted(rows, uncached, batched, shot_speedup, counts_match);
     std::fprintf(out,
                  "  \"acceptance\": {\"required_speedup\": 5.0, "
                  "\"measured_speedup\": %.2f, "
@@ -430,9 +451,12 @@ writeJson(const std::vector<EvolveRow> &rows,
                  "\"uncached_max_abs_diff\": %.3e, "
                  "\"required_batched_speedup\": 3.0, "
                  "\"measured_batched_speedup\": %.2f, "
-                 "\"batched_max_abs_diff\": %.3e, \"pass\": %s}\n",
+                 "\"batched_max_abs_diff\": %.3e, "
+                 "\"cached_max_abs_diff\": %.3e, "
+                 "\"counts_match\": %s, \"pass\": %s}\n",
                  shot_speedup, uncached.speedup(), uncached.maxDiff,
-                 batched.speedup(), batched.maxDiff,
+                 batched.speedup(), batched.maxDiff, cachedMaxDiff(rows),
+                 counts_match ? "true" : "false",
                  pass ? "true" : "false");
     std::fprintf(out, "}\n");
     bench::closeBenchJson(out, "BENCH_pulsesim.json");
@@ -485,6 +509,10 @@ main()
                       fmtPercent(row.hitRate, 1),
                       fmtExp(row.maxDiff)});
     std::printf("%s\n", table.render().c_str());
+    std::printf("max |diff| cached vs uncached: %s (acceptance: "
+                "<= 1e-12) %s\n\n",
+                fmtExp(cachedMaxDiff(rows)).c_str(),
+                cachedMaxDiff(rows) <= 1e-12 ? "PASS" : "FAIL");
 
     // --- Per-kernel microbenches: gemm scalar vs SIMD dispatch at the
     // simulator's working sizes (d=3, d^2=9, and a larger 16), and the
@@ -557,12 +585,11 @@ main()
     // optimized = shared cache + up to four threads + batched panels +
     // overhauled kernels.
     PulseSimulator shot_sim_legacy(calibrator.qubitModel(0));
-    shot_sim_legacy.setDriftKernelEnabled(false);
+    shot_sim_legacy.setStepSource(StepSource::Reference);
     const PulseSimulator shot_sim(calibrator.qubitModel(0));
     PulseShotOptions legacy;
     legacy.shots = 192;
     legacy.seed = 7;
-    legacy.useCache = false;
     legacy.maxThreads = 1;
     legacy.batchWidth = 1;
     const kernels::SimdMode dispatch_mode = kernels::activeSimd();
@@ -576,7 +603,6 @@ main()
     PulseShotOptions fast;
     fast.shots = 192;
     fast.seed = 7;
-    fast.useCache = true;
     fast.maxThreads = 4;
     start = Clock::now();
     const PulseShotResult opt =
@@ -600,11 +626,8 @@ main()
     bench::printTelemetry();
     writeJson(rows, kernel_rows, uncached, batched, legacy.shots,
               baseline_ms, optimized_ms, opt.cacheStats.hitRate(),
-              threads);
-    return shot_speedup >= 5.0 && uncached.speedup() >= 3.0 &&
-                   uncached.maxDiff <= 1e-12 &&
-                   batched.speedup() >= 3.0 &&
-                   batched.maxDiff <= 1e-12 && counts_match
+              counts_match, threads);
+    return accepted(rows, uncached, batched, shot_speedup, counts_match)
                ? 0
                : 1;
 }

@@ -287,12 +287,11 @@ PulseBackend::runShots(const PulseSimulator &sim,
     // safe; the shared cache is internally locked.
     PulseSimulator worker = sim;
     std::shared_ptr<PropagatorCache> cache;
-    if (opts.useCache) {
+    if (worker.stepSource() == StepSource::Cached) {
         cache = opts.cache ? opts.cache
                            : std::make_shared<PropagatorCache>();
         worker.setPropagatorCache(cache);
     }
-    worker.setCachingEnabled(opts.useCache);
     // The worker polls the token and any *wall-clock* deadline
     // mid-evolution. Virtual budgets are deliberately not checked
     // inside evolve (setInterrupt drops them): their charge happens at

@@ -39,15 +39,14 @@ struct PulseShotOptions
     std::uint64_t seed = 1;
 
     /**
-     * Cross-shot propagator cache. When null, runShots creates one
-     * internally for the duration of the call (every shot after the
-     * first still hits); pass a caller-owned cache to extend reuse
-     * across schedules, e.g. over an RB sequence batch.
+     * Cross-shot propagator cache, used when the simulator's step
+     * source is StepSource::Cached (the default; other sources never
+     * touch a cache). When null, runShots creates one internally for
+     * the duration of the call (every shot after the first still
+     * hits); pass a caller-owned cache to extend reuse across
+     * schedules, e.g. over an RB sequence batch.
      */
     std::shared_ptr<PropagatorCache> cache;
-
-    /** Disable memoization entirely (legacy per-sample baseline). */
-    bool useCache = true;
 
     /**
      * Thread cap for the shot loop: 0 = the global pool's size, 1 =

@@ -354,9 +354,8 @@ gemmAdjBDispatch(Complex *out, const Complex *a, const Complex *b,
     // that full-length CNOT propagators drift past the 1e-12
     // legacy-agreement budget (BENCH_pulsesim.json, `uncached` gate),
     // while the streaming gemm — whose per-column fma order is
-    // width-independent — gets the full 512-bit width. The 512-bit
-    // reduction kernels remain available for direct callers that can
-    // spend the looser budget.
+    // width-independent — gets the full 512-bit width. There are no
+    // 512-bit reduction kernels.
     case SimdMode::Avx512:
         gemmAdjBAvx2(out, a, b, m, k, n);
         return;

@@ -141,23 +141,14 @@ void matvecAvx2(Complex *out, const Complex *a, const Complex *x,
                 std::size_t m, std::size_t n);
 
 /**
- * AVX-512F counterparts (gate on avx512Supported). The dispatchers
- * route only the streaming gemm (and the blocked tiles below) here:
- * the 512-bit REDUCTION kernels (adjB / adjA / matvec) accumulate
- * 4-wide dot-product partial sums whose rounding drifts past the
- * 1e-12 legacy-agreement budget over full-length schedules, so under
- * Avx512 dispatch those three fall back to the 256-bit forms. The
- * 512-bit versions stay available for direct callers with a looser
- * budget (each one agrees with scalar to <= 1e-12 per call).
+ * AVX-512F streaming gemm (gate on avx512Supported). The Avx512 tier
+ * has no reduction kernels of its own: its adjB / adjA / matvec
+ * dispatch to the 256-bit forms, because 4-wide dot-product partial
+ * sums round differently enough from scalar that full-length
+ * schedules drift past the 1e-12 legacy-agreement budget.
  */
 void gemmAvx512(Complex *out, const Complex *a, const Complex *b,
                 std::size_t m, std::size_t k, std::size_t n);
-void gemmAdjBAvx512(Complex *out, const Complex *a, const Complex *b,
-                    std::size_t m, std::size_t k, std::size_t n);
-void gemmAdjAAvx512(Complex *out, const Complex *a, const Complex *b,
-                    std::size_t m, std::size_t k, std::size_t n);
-void matvecAvx512(Complex *out, const Complex *a, const Complex *x,
-                  std::size_t m, std::size_t n);
 
 // Strided accumulating tiles (gemmBlocked micro-kernels):
 // out[i*ldo + j] += sum_kk a[i*lda + kk] * b[kk*ldb + j] over the

@@ -6,10 +6,9 @@
  * widened to 512-bit registers: four complex doubles per vector
  * [re0, im0, re1, im1, re2, im2, re3, im3], a complex
  * multiply-accumulate is two broadcasts, one in-lane swap and one
- * fmaddsub. Inner-product reductions use the masked lane reductions
- * (_mm512_mask_reduce_add_pd over the even/odd lane masks), whose tree
- * order is fixed at compile time, so results stay deterministic within
- * the tier.
+ * fmaddsub. Only the streaming gemm and the blocked-gemm tile live
+ * here; the reduction kernels (adjB / adjA / matvec) stay 256-bit
+ * under this tier (see simd.h).
  *
  * Compiled with per-function target attributes so the translation unit
  * stays buildable with a baseline -march: the dispatcher only routes
@@ -38,20 +37,6 @@ QPULSE_AVX512 inline double *
 dp(Complex *z)
 {
     return reinterpret_cast<double *>(z);
-}
-
-/** Sum of even lanes (0, 2, 4, 6) of a 512-bit vector. */
-QPULSE_AVX512 inline double
-sumEven(__m512d v)
-{
-    return _mm512_mask_reduce_add_pd(__mmask8(0x55), v);
-}
-
-/** Sum of odd lanes (1, 3, 5, 7) of a 512-bit vector. */
-QPULSE_AVX512 inline double
-sumOdd(__m512d v)
-{
-    return _mm512_mask_reduce_add_pd(__mmask8(0xAA), v);
 }
 
 /** Swap re/im within each complex: lanes [1,0,3,2,5,4,7,6]. */
@@ -91,97 +76,6 @@ gemmAvx512(Complex *out, const Complex *a, const Complex *b,
                 sum += arow[kk] * b[kk * n + j];
             orow[j] = sum;
         }
-    }
-}
-
-QPULSE_AVX512 void
-gemmAdjBAvx512(Complex *out, const Complex *a, const Complex *b,
-               std::size_t m, std::size_t k, std::size_t n)
-{
-    // out(i, j) = <row_j(b) | row_i(a)>: both operands are contiguous
-    // rows, so the inner product vectorizes without any transpose.
-    for (std::size_t i = 0; i < m; ++i) {
-        const Complex *arow = a + i * k;
-        for (std::size_t j = 0; j < n; ++j) {
-            const Complex *brow = b + j * k;
-            __m512d acc_r = _mm512_setzero_pd();
-            __m512d acc_i = _mm512_setzero_pd();
-            std::size_t kk = 0;
-            for (; kk + 4 <= k; kk += 4) {
-                const __m512d x = _mm512_loadu_pd(dp(arow + kk));
-                const __m512d y = _mm512_loadu_pd(dp(brow + kk));
-                acc_r = _mm512_fmadd_pd(x, y, acc_r);
-                acc_i = _mm512_fmadd_pd(x, swapPairs(y), acc_i);
-            }
-            // x * conj(y): re = xr*yr + xi*yi, im = xi*yr - xr*yi.
-            double re = sumEven(acc_r) + sumOdd(acc_r);
-            double im = sumOdd(acc_i) - sumEven(acc_i);
-            for (; kk < k; ++kk) {
-                const Complex z = arow[kk] * std::conj(brow[kk]);
-                re += z.real();
-                im += z.imag();
-            }
-            out[i * n + j] = Complex{re, im};
-        }
-    }
-}
-
-QPULSE_AVX512 void
-gemmAdjAAvx512(Complex *out, const Complex *a, const Complex *b,
-               std::size_t m, std::size_t k, std::size_t n)
-{
-    for (std::size_t i = 0; i < m * n; ++i)
-        out[i] = Complex{0.0, 0.0};
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const Complex *arow = a + kk * m;
-        const Complex *brow = b + kk * n;
-        for (std::size_t i = 0; i < m; ++i) {
-            const double *az = dp(arow + i);
-            // conj(a(kk, i)): negate the broadcast imaginary part.
-            const __m512d sre = _mm512_set1_pd(az[0]);
-            const __m512d sim = _mm512_set1_pd(-az[1]);
-            Complex *orow = out + i * n;
-            std::size_t j = 0;
-            for (; j + 4 <= n; j += 4) {
-                const __m512d bv = _mm512_loadu_pd(dp(brow + j));
-                const __m512d t = _mm512_mul_pd(sim, swapPairs(bv));
-                const __m512d acc = _mm512_add_pd(
-                    _mm512_loadu_pd(dp(orow + j)),
-                    _mm512_fmaddsub_pd(sre, bv, t));
-                _mm512_storeu_pd(dp(orow + j), acc);
-            }
-            const Complex s = std::conj(arow[i]);
-            for (; j < n; ++j)
-                orow[j] += s * brow[j];
-        }
-    }
-}
-
-QPULSE_AVX512 void
-matvecAvx512(Complex *out, const Complex *a, const Complex *x,
-             std::size_t m, std::size_t n)
-{
-    for (std::size_t i = 0; i < m; ++i) {
-        const Complex *arow = a + i * n;
-        __m512d acc_r = _mm512_setzero_pd();
-        __m512d acc_i = _mm512_setzero_pd();
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const __m512d av = _mm512_loadu_pd(dp(arow + j));
-            const __m512d xv = _mm512_loadu_pd(dp(x + j));
-            acc_r = _mm512_fmadd_pd(av, xv, acc_r);
-            acc_i = _mm512_fmadd_pd(av, swapPairs(xv), acc_i);
-        }
-        // a * x (no conjugation): re = ar*xr - ai*xi,
-        // im = ar*xi + ai*xr.
-        double re = sumEven(acc_r) - sumOdd(acc_r);
-        double im = sumEven(acc_i) + sumOdd(acc_i);
-        for (; j < n; ++j) {
-            const Complex z = arow[j] * x[j];
-            re += z.real();
-            im += z.imag();
-        }
-        out[i] = Complex{re, im};
     }
 }
 

@@ -726,6 +726,57 @@ PulseSimulator::stepPropagatorInto(
     record_run();
 }
 
+template <typename Consume>
+void
+PulseSimulator::forEachStep(const Schedule &schedule, long duration,
+                            std::vector<double> *frames,
+                            Consume &&consume) const
+{
+    DriveModulation mod;
+    const bool kernel_source = stepSource_ == StepSource::DriftKernel;
+    const auto drives = buildDriveTimeline(
+        schedule, duration, frames, kernel_source ? &mod : nullptr);
+
+    if (stepSource_ == StepSource::Cached) {
+        std::unique_ptr<PropagatorCache> local;
+        Matrix step_u;
+        for (const DriveStep &step : compileSteps(drives, duration)) {
+            checkInterrupt();
+            cachedStepInto(step, local, step_u);
+            consume(step_u, step.count);
+        }
+        return;
+    }
+
+    // Per-sample sources: the drift-frame kernel (warm-started Jacobi,
+    // zero heap allocations per sample once its workspaces are warm)
+    // or one cold reference propagator per AWG sample.
+    const std::size_t nt = model_.numTransmons();
+    StepKernel kernel;
+    std::vector<Complex> step_drives(nt);
+    std::vector<Complex> step_env(nt);
+    std::vector<double> step_rates(nt);
+    for (long ts = 0; ts < duration; ++ts) {
+        if ((ts % kInterruptStride) == 0)
+            checkInterrupt();
+        const std::size_t sts = static_cast<std::size_t>(ts);
+        for (std::size_t j = 0; j < nt; ++j)
+            step_drives[j] = drives[j][sts];
+        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
+        if (!kernel_source) {
+            consume(stepPropagator(t_mid, step_drives), 1L);
+            continue;
+        }
+        for (std::size_t j = 0; j < nt; ++j) {
+            step_env[j] = mod.env[j][sts];
+            step_rates[j] = mod.rate[j][sts];
+        }
+        stepPropagatorInto(kernel, t_mid, step_drives, step_env,
+                           step_rates);
+        consume(kernel.u, 1L);
+    }
+}
+
 UnitaryResult
 PulseSimulator::evolveUnitary(const Schedule &schedule) const
 {
@@ -737,65 +788,17 @@ PulseSimulator::evolveUnitary(const Schedule &schedule) const
     countEvolve(c_calls, duration);
     UnitaryResult result;
     result.duration = duration;
-    std::vector<double> frames;
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, &frames,
-                                           want_mod ? &mod : nullptr);
-    result.framePhase = frames;
 
     Matrix u = Matrix::identity(model_.dim());
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        Workspace pow_ws;
-        Matrix step_u, u_pow, u_next;
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            cachedStepInto(step, local, step_u);
-            powmInto(u_pow, step_u, static_cast<std::uint64_t>(step.count),
-                     pow_ws);
-            gemmInto(u_next, u_pow, u);
-            std::swap(u, u_next);
-        }
-    } else if (driftKernelEnabled_) {
-        // Exact per-sample path through the drift-frame kernel:
-        // warm-started Jacobi, zero heap allocations per sample once
-        // the kernel workspaces are warm.
-        StepKernel kernel;
-        std::vector<Complex> step_drives(model_.numTransmons());
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        Matrix u_next;
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            gemmInto(u_next, kernel.u, u);
-            std::swap(u, u_next);
-        }
-    } else {
-        // Pre-overhaul exact path: one cold propagator per AWG sample.
-        std::vector<Complex> step_drives(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-                step_drives[j] =
-                    drives[j][static_cast<std::size_t>(ts)];
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            u = stepPropagator(t_mid, step_drives) * u;
-        }
-    }
+    Workspace pow_ws;
+    Matrix u_pow, u_next;
+    forEachStep(schedule, duration, &result.framePhase,
+                [&](const Matrix &step_u, long count) {
+                    powmInto(u_pow, step_u,
+                             static_cast<std::uint64_t>(count), pow_ws);
+                    gemmInto(u_next, u_pow, u);
+                    std::swap(u, u_next);
+                });
     result.unitary = std::move(u);
     return result;
 }
@@ -835,67 +838,29 @@ PulseSimulator::evolveState(const Schedule &schedule,
             "sim.evolve_state.calls");
     const long duration = schedule.duration();
     countEvolve(c_calls, duration);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
 
     Vector state = initial;
     Vector state_next;
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        Workspace pow_ws;
-        Matrix step_u, u_pow;
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            cachedStepInto(step, local, step_u);
-            // Long runs (idle stretches, flat-tops): binary powering
-            // costs log2(count) matmuls instead of count matvecs.
-            if (step.count >= 8) {
-                powmInto(u_pow, step_u,
-                         static_cast<std::uint64_t>(step.count), pow_ws);
-                applyInto(state_next, u_pow, state);
-                std::swap(state, state_next);
-            } else {
-                for (long k = 0; k < step.count; ++k) {
-                    applyInto(state_next, step_u, state);
-                    std::swap(state, state_next);
-                }
-            }
-        }
-        return state;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            applyInto(state_next, kernel.u, state);
-            std::swap(state, state_next);
-        }
-        return state;
-    }
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        state = stepPropagator(t_mid, step_drives).apply(state);
-    }
+    Workspace pow_ws;
+    Matrix u_pow;
+    forEachStep(schedule, duration, nullptr,
+                [&](const Matrix &step_u, long count) {
+                    // Long runs (idle stretches, flat-tops): binary
+                    // powering costs log2(count) matmuls instead of
+                    // count matvecs.
+                    if (count >= 8) {
+                        powmInto(u_pow, step_u,
+                                 static_cast<std::uint64_t>(count),
+                                 pow_ws);
+                        applyInto(state_next, u_pow, state);
+                        std::swap(state, state_next);
+                        return;
+                    }
+                    for (long k = 0; k < count; ++k) {
+                        applyInto(state_next, step_u, state);
+                        std::swap(state, state_next);
+                    }
+                });
     return state;
 }
 
@@ -998,90 +963,6 @@ struct DecoherenceModel
     }
 };
 
-} // namespace
-
-Matrix
-PulseSimulator::evolveLindblad(const Schedule &schedule,
-                               const Matrix &rho0) const
-{
-    qpulseRequire(rho0.rows() == model_.dim() &&
-                      rho0.cols() == model_.dim(),
-                  "evolveLindblad dimension mismatch");
-    telemetry::TraceSpan span("sim.evolve_lindblad");
-    static telemetry::Counter &c_calls =
-        telemetry::MetricsRegistry::global().counter(
-            "sim.evolve_lindblad.calls");
-    const long duration = schedule.duration();
-    countEvolve(c_calls, duration);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
-
-    const DecoherenceModel deco(model_);
-    const auto apply_decoherence = [&](Matrix &rho) {
-        deco.apply(rho.data().data());
-    };
-
-    Matrix rho = rho0;
-    Matrix u_rho, rho_next;
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        Matrix step_u;
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            // The decoherence split interleaves with every sample, so
-            // runs reuse the propagator but still step sample-wise.
-            cachedStepInto(step, local, step_u);
-            for (long k = 0; k < step.count; ++k) {
-                gemmInto(u_rho, step_u, rho);
-                gemmAdjBInto(rho_next, u_rho, step_u);
-                std::swap(rho, rho_next);
-                apply_decoherence(rho);
-            }
-        }
-        return rho;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            gemmInto(u_rho, kernel.u, rho);
-            gemmAdjBInto(rho_next, u_rho, kernel.u);
-            std::swap(rho, rho_next);
-            apply_decoherence(rho);
-        }
-        return rho;
-    }
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        const Matrix u = stepPropagator(t_mid, step_drives);
-        rho = u * rho * u.adjoint();
-        apply_decoherence(rho);
-    }
-    return rho;
-}
-
-namespace {
-
 /** Work counters for one batched evolve (thread-count invariant):
  *  calls, states packed into the panel, and AWG samples walked —
  *  sim.batch.states / sim.batch.calls is the realized mean batch
@@ -1106,6 +987,59 @@ countBatch(long duration, std::size_t width)
 } // namespace
 
 void
+PulseSimulator::evolveDensityPanel(const Schedule &schedule, long duration,
+                                   DensityPanel &panel,
+                                   Workspace &ws) const
+{
+    const DecoherenceModel deco(model_);
+    const std::size_t dim = model_.dim();
+    const std::size_t width = panel.width();
+    // Scratch: density-panel slots 0 (ping-pong target) and 1
+    // (conjugation staging).
+    DensityPanel &next = ws.densityPanel(0, dim, width);
+    DensityPanel &stage = ws.densityPanel(1, dim, width);
+    forEachStep(schedule, duration, nullptr,
+                [&](const Matrix &step_u, long count) {
+                    // The decoherence split interleaves with every
+                    // sample, so runs reuse the propagator but still
+                    // step sample-wise.
+                    for (long k = 0; k < count; ++k) {
+                        conjugatePanelInto(next, step_u, panel, stage);
+                        std::swap(panel, next);
+                        Complex *base = panel.storage().data().data();
+                        for (std::size_t i = 0; i < width; ++i)
+                            deco.apply(base + i * dim * dim);
+                    }
+                });
+}
+
+Matrix
+PulseSimulator::evolveLindblad(const Schedule &schedule,
+                               const Matrix &rho0) const
+{
+    qpulseRequire(rho0.rows() == model_.dim() &&
+                      rho0.cols() == model_.dim(),
+                  "evolveLindblad dimension mismatch");
+    telemetry::TraceSpan span("sim.evolve_lindblad");
+    static telemetry::Counter &c_calls =
+        telemetry::MetricsRegistry::global().counter(
+            "sim.evolve_lindblad.calls");
+    const long duration = schedule.duration();
+    countEvolve(c_calls, duration);
+
+    // A width-1 density panel: its single row-major block is rho, so
+    // the panel conjugation issues exactly the gemm / gemmAdjB pair of
+    // a standalone U rho U^dagger.
+    DensityPanel panel(model_.dim(), 1);
+    panel.setBlock(0, rho0);
+    Workspace ws;
+    evolveDensityPanel(schedule, duration, panel, ws);
+    Matrix rho;
+    panel.getBlock(0, rho);
+    return rho;
+}
+
+void
 PulseSimulator::evolveStatesBatched(const Schedule &schedule,
                                     StatePanel &panel,
                                     Workspace &ws) const
@@ -1118,72 +1052,31 @@ PulseSimulator::evolveStatesBatched(const Schedule &schedule,
     telemetry::TraceSpan span("sim.evolve_batched");
     const long duration = schedule.duration();
     countBatch(duration, width);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
 
     const std::size_t dim = model_.dim();
     // Scratch: state-panel slot 0 (ping-pong target) plus matrix slots
-    // 0-3 (0-1 are powmInto's, 2-3 hold the step propagator and its
-    // binary power). All reuse capacity across calls, so the loop is
-    // heap-silent once `ws` has warmed at this width.
+    // 0-1 (powmInto's) and 3 (the binary power). All reuse capacity
+    // across calls, so the loop is heap-silent once `ws` has warmed at
+    // this width.
     StatePanel &next = ws.statePanel(0, dim, width);
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        Matrix &step_u = ws.matrix(2, dim, dim);
-        Matrix &u_pow = ws.matrix(3, dim, dim);
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            cachedStepInto(step, local, step_u);
-            // Long runs (idle stretches, flat-tops): binary powering
-            // costs log2(count) matmuls instead of count panel gemms.
-            if (step.count >= 8) {
-                powmInto(u_pow, step_u,
-                         static_cast<std::uint64_t>(step.count), ws);
-                applyPanelInto(next, u_pow, panel);
-                std::swap(panel, next);
-            } else {
-                for (long k = 0; k < step.count; ++k) {
-                    applyPanelInto(next, step_u, panel);
-                    std::swap(panel, next);
-                }
-            }
-        }
-        return;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            applyPanelInto(next, kernel.u, panel);
-            std::swap(panel, next);
-        }
-        return;
-    }
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        applyPanelInto(next, stepPropagator(t_mid, step_drives), panel);
-        std::swap(panel, next);
-    }
+    Matrix &u_pow = ws.matrix(3, dim, dim);
+    forEachStep(schedule, duration, nullptr,
+                [&](const Matrix &step_u, long count) {
+                    // Long runs (idle stretches, flat-tops): binary
+                    // powering costs log2(count) matmuls instead of
+                    // count panel gemms.
+                    if (count >= 8) {
+                        powmInto(u_pow, step_u,
+                                 static_cast<std::uint64_t>(count), ws);
+                        applyPanelInto(next, u_pow, panel);
+                        std::swap(panel, next);
+                        return;
+                    }
+                    for (long k = 0; k < count; ++k) {
+                        applyPanelInto(next, step_u, panel);
+                        std::swap(panel, next);
+                    }
+                });
 }
 
 void
@@ -1206,75 +1099,7 @@ PulseSimulator::evolveLindbladBatched(const Schedule &schedule,
     telemetry::TraceSpan span("sim.evolve_batched");
     const long duration = schedule.duration();
     countBatch(duration, width);
-    DriveModulation mod;
-    const bool want_mod = !cachingEnabled_ && driftKernelEnabled_;
-    const auto drives = buildDriveTimeline(schedule, duration, nullptr,
-                                           want_mod ? &mod : nullptr);
-
-    const DecoherenceModel deco(model_);
-    const std::size_t dim = model_.dim();
-    // One dt of decoherence on every block of the panel.
-    const auto apply_decoherence_panel = [&](DensityPanel &p) {
-        Complex *base = p.storage().data().data();
-        for (std::size_t i = 0; i < width; ++i)
-            deco.apply(base + i * dim * dim);
-    };
-
-    // Scratch: density-panel slots 0 (ping-pong target) and 1
-    // (conjugation staging), matrix slot 2 for the step propagator.
-    DensityPanel &next = ws.densityPanel(0, dim, width);
-    DensityPanel &stage = ws.densityPanel(1, dim, width);
-    if (cachingEnabled_) {
-        std::unique_ptr<PropagatorCache> local;
-        Matrix &step_u = ws.matrix(2, dim, dim);
-        for (const DriveStep &step : compileSteps(drives, duration)) {
-            checkInterrupt();
-            // The decoherence split interleaves with every sample, so
-            // runs reuse the propagator but still step sample-wise.
-            cachedStepInto(step, local, step_u);
-            for (long k = 0; k < step.count; ++k) {
-                conjugatePanelInto(next, step_u, panel, stage);
-                std::swap(panel, next);
-                apply_decoherence_panel(panel);
-            }
-        }
-        return;
-    }
-    std::vector<Complex> step_drives(model_.numTransmons());
-    if (driftKernelEnabled_) {
-        StepKernel kernel;
-        std::vector<Complex> step_env(model_.numTransmons());
-        std::vector<double> step_rates(model_.numTransmons());
-        for (long ts = 0; ts < duration; ++ts) {
-            if ((ts % kInterruptStride) == 0)
-                checkInterrupt();
-            for (std::size_t j = 0; j < model_.numTransmons(); ++j) {
-                const std::size_t sts = static_cast<std::size_t>(ts);
-                step_drives[j] = drives[j][sts];
-                step_env[j] = mod.env[j][sts];
-                step_rates[j] = mod.rate[j][sts];
-            }
-            const double t_mid =
-                (static_cast<double>(ts) + 0.5) * kDtNs;
-            stepPropagatorInto(kernel, t_mid, step_drives, step_env,
-                               step_rates);
-            conjugatePanelInto(next, kernel.u, panel, stage);
-            std::swap(panel, next);
-            apply_decoherence_panel(panel);
-        }
-        return;
-    }
-    for (long ts = 0; ts < duration; ++ts) {
-        if ((ts % kInterruptStride) == 0)
-            checkInterrupt();
-        for (std::size_t j = 0; j < model_.numTransmons(); ++j)
-            step_drives[j] = drives[j][static_cast<std::size_t>(ts)];
-        const double t_mid = (static_cast<double>(ts) + 0.5) * kDtNs;
-        conjugatePanelInto(next, stepPropagator(t_mid, step_drives),
-                           panel, stage);
-        std::swap(panel, next);
-        apply_decoherence_panel(panel);
-    }
+    evolveDensityPanel(schedule, duration, panel, ws);
 }
 
 std::vector<double>

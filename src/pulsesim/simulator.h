@@ -56,7 +56,42 @@ struct UnitaryResult
 };
 
 /**
+ * Where the evolve engine takes each step's propagator from. All three
+ * sources walk the same drive timeline and feed the same consumers;
+ * they differ only in how a step is produced.
+ */
+enum class StepSource
+{
+    /**
+     * Default. Runs of identical consecutive samples collapse into one
+     * step whose propagator comes from the attached PropagatorCache
+     * (or the per-call memo; see cachedStepInto), always computed by
+     * the cold stepPropagator so cache values stay pure functions of
+     * their key.
+     */
+    Cached,
+    /**
+     * One step per AWG sample from the drift-frame kernel
+     * (stepPropagatorInto): prediagonalized static Hamiltonian,
+     * warm-started Jacobi, heap-silent in-place products. Agrees with
+     * Reference to <= 1e-12, not bitwise.
+     */
+    DriftKernel,
+    /**
+     * One step per AWG sample from a cold stepPropagator: the exact
+     * per-sample oracle for correctness pins and bench baselines.
+     */
+    Reference,
+};
+
+/**
  * Executes pulse schedules on a transmon model.
+ *
+ * One evolution engine serves every entry point: a private producer
+ * (forEachStep) turns the schedule into a stream of (propagator,
+ * repeat count) steps from the configured StepSource, and each entry
+ * point is a consumer that applies those steps to its own state kind
+ * (unitary, state vector, state panel, density panel).
  */
 class PulseSimulator
 {
@@ -84,37 +119,16 @@ class PulseSimulator
         return cache_;
     }
 
-    /**
-     * Disable (or re-enable) propagator memoization entirely. With
-     * caching off the simulator takes the legacy exact path — one
-     * eigendecomposition per AWG sample — which exists as the
-     * reference baseline for correctness tests and perf benches.
-     */
-    void setCachingEnabled(bool enabled) { cachingEnabled_ = enabled; }
-    bool cachingEnabled() const { return cachingEnabled_; }
-
-    /**
-     * Disable (or re-enable) the drift-frame step kernel on the
-     * uncached path: prediagonalized static Hamiltonian, warm-started
-     * Jacobi, allocation-free in-place products. Off, the uncached
-     * path runs the pre-overhaul per-sample code exactly — kept as the
-     * reference baseline for correctness pins and perf comparisons.
-     * Cached propagators are unaffected either way: cache values are
-     * always computed by the canonical cold-start stepPropagator so
-     * they stay pure functions of the key.
-     */
-    void setDriftKernelEnabled(bool enabled)
-    {
-        driftKernelEnabled_ = enabled;
-    }
-    bool driftKernelEnabled() const { return driftKernelEnabled_; }
+    /** Where every evolve entry point takes its step propagators from. */
+    void setStepSource(StepSource source) { stepSource_ = source; }
+    StepSource stepSource() const { return stepSource_; }
 
     /**
      * Attach a cooperative interrupt to this simulator instance: the
-     * evolve loops poll the token — and a *wall-clock* deadline —
-     * every kInterruptStride AWG samples (per collapsed run on the
-     * cached path) and throw a StatusError carrying the structured
-     * Cancelled / DeadlineExceeded reason mid-evolution. Virtual-time
+     * evolve engine polls the token — and a *wall-clock* deadline —
+     * every kInterruptStride AWG samples (per collapsed run under
+     * StepSource::Cached) and throws a StatusError carrying the
+     * structured Cancelled / DeadlineExceeded reason mid-evolution. Virtual-time
      * deadlines are deliberately ignored here: their budget is charged
      * deterministically at shot-batch admission (PulseBackend), and an
      * admitted batch must be allowed to finish even when the charge
@@ -130,7 +144,7 @@ class PulseSimulator
                          !wallDeadline_.unlimited();
     }
 
-    /** Samples between interrupt polls on the per-sample paths. */
+    /** Samples between interrupt polls on the per-sample sources. */
     static constexpr long kInterruptStride = 256;
 
     /**
@@ -177,9 +191,9 @@ class PulseSimulator
      * dispatch mode the result is deterministic, so it is bit-identical
      * across QPULSE_THREADS. Interrupt polling keeps evolveState's
      * stride semantics (kInterruptStride samples per poll, per
-     * collapsed run on the cached path). `ws` provides panel scratch
-     * (state-panel slot 0); the loop is heap-silent once `ws` has
-     * warmed at the panel's width.
+     * collapsed run under StepSource::Cached). `ws` provides panel
+     * scratch (state-panel slot 0); the loop is heap-silent once `ws`
+     * has warmed at the panel's width.
      */
     void evolveStatesBatched(const Schedule &schedule, StatePanel &panel,
                              Workspace &ws) const;
@@ -194,14 +208,16 @@ class PulseSimulator
      * computation per sample shared across the batch, with the
      * two-sided conjugation batched through conjugatePanelInto
      * (density-panel slots 0-1 of `ws`). Matches per-block
-     * evolveLindblad to <= 1e-12 max-abs.
+     * evolveLindblad to <= 1e-12 max-abs; a width-1 panel is
+     * evolveLindblad bit for bit.
      */
     void evolveLindbladBatched(const Schedule &schedule,
                                DensityPanel &panel, Workspace &ws) const;
 
     /**
-     * Density-matrix evolution with T1/T2 decoherence. The initial
-     * density matrix must match the model dimension.
+     * Density-matrix evolution with T1/T2 decoherence: a width-1
+     * evolveLindbladBatched with its own span and counters. The
+     * initial density matrix must match the model dimension.
      */
     Matrix evolveLindblad(const Schedule &schedule,
                           const Matrix &rho0) const;
@@ -282,6 +298,27 @@ class PulseSimulator
 
     Matrix stepPropagator(double t_mid_ns,
                           const std::vector<Complex> &drives) const;
+
+    /**
+     * The evolve engine's single step producer: builds the drive
+     * timeline of `schedule` (frames into `frames` when non-null) and
+     * calls consume(const Matrix &propagator, long count) once per
+     * step of the configured StepSource — one call per collapsed run
+     * for Cached, one per AWG sample otherwise. The only place that
+     * polls the interrupt. Defined in simulator.cc, its only user.
+     */
+    template <typename Consume>
+    void forEachStep(const Schedule &schedule, long duration,
+                     std::vector<double> *frames,
+                     Consume &&consume) const;
+
+    /**
+     * Density-panel consumer shared by evolveLindblad (width 1) and
+     * evolveLindbladBatched; counts nothing, so each entry point keeps
+     * its own span and counters.
+     */
+    void evolveDensityPanel(const Schedule &schedule, long duration,
+                            DensityPanel &panel, Workspace &ws) const;
 
     /** Slow half of checkInterrupt: throws if the interrupt fired. */
     void throwIfInterrupted() const;
@@ -364,10 +401,9 @@ class PulseSimulator
     bool driftDiagonal_ = false;
     std::uint64_t basisVersion_ = 0;
 
-    // Memoization state.
+    // Step source and memoization state.
     std::shared_ptr<PropagatorCache> cache_; ///< Caller-owned, optional.
-    bool cachingEnabled_ = true;
-    bool driftKernelEnabled_ = true;
+    StepSource stepSource_ = StepSource::Cached;
 
     // Cooperative interruption (setInterrupt). Copies of the simulator
     // share the token/deadline state through their shared_ptr guts.

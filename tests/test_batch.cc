@@ -406,7 +406,7 @@ TEST(BatchEvolve, MatchesLoopedAcrossWidthsAndModes)
 
         // Uncached per-sample path.
         PulseSimulator exact(TransmonModel::single(testQubit(), 3));
-        exact.setCachingEnabled(false);
+        exact.setStepSource(StepSource::DriftKernel);
         expectBatchedMatchesLooped(exact, schedule, {1, 3, 8, 64},
                                    2000);
     }
@@ -523,7 +523,7 @@ TEST(BatchWorkspace, BatchedEvolveAllocsAreDurationAndWidthIndependent)
     // engine must preserve it: a whole call performs a constant
     // number of allocations whatever the duration or panel width.
     PulseSimulator sim(TransmonModel::single(testQubit(), 3));
-    sim.setCachingEnabled(false);
+    sim.setStepSource(StepSource::DriftKernel);
     const std::size_t dim = sim.model().dim();
     const Schedule short_schedule = transmonSchedule(80);
     const Schedule long_schedule = transmonSchedule(160);

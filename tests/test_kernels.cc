@@ -298,46 +298,6 @@ TEST(Kernels, Avx512KernelsMatchScalarAcrossSizes)
     expectTierMatchesScalar(kernels::SimdMode::Avx512);
 }
 
-TEST(Kernels, Avx512ReductionKernelsMatchScalarDirectly)
-{
-    // The dispatchers deliberately keep reductions 256-bit under the
-    // Avx512 tier (src/linalg/simd.h); the 512-bit forms are still
-    // part of the kernel surface and must individually agree with
-    // scalar to 1e-12 for direct callers.
-    if (!kernels::avx512Supported())
-        GTEST_SKIP() << "no AVX-512 on this host";
-    for (std::size_t n = 2; n <= 16; ++n) {
-        const Matrix a = randomMatrix(n, n, 2800 + n);
-        const Matrix b = randomMatrix(n, n, 2900 + n);
-        Rng rng(3000 + n);
-        Vector x(n);
-        for (std::size_t i = 0; i < n; ++i)
-            x[i] = Complex{rng.uniform(-1.0, 1.0),
-                           rng.uniform(-1.0, 1.0)};
-        Matrix s_adjb(n, n), s_adja(n, n), v_adjb(n, n), v_adja(n, n);
-        Vector s_vec(n), v_vec(n);
-        kernels::gemmAdjBScalar(s_adjb.data().data(), a.data().data(),
-                                b.data().data(), n, n, n);
-        kernels::gemmAdjAScalar(s_adja.data().data(), a.data().data(),
-                                b.data().data(), n, n, n);
-        kernels::matvecScalar(s_vec.data().data(), a.data().data(),
-                              x.data().data(), n, n);
-        kernels::gemmAdjBAvx512(v_adjb.data().data(), a.data().data(),
-                                b.data().data(), n, n, n);
-        kernels::gemmAdjAAvx512(v_adja.data().data(), a.data().data(),
-                                b.data().data(), n, n, n);
-        kernels::matvecAvx512(v_vec.data().data(), a.data().data(),
-                              x.data().data(), n, n);
-        EXPECT_LE(maxAbsDiff(s_adjb, v_adjb), 1e-12)
-            << "avx512 a*b^dag failed at n=" << n;
-        EXPECT_LE(maxAbsDiff(s_adja, v_adja), 1e-12)
-            << "avx512 a^dag*b failed at n=" << n;
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_LE(std::abs(s_vec[i] - v_vec[i]), 1e-12)
-                << "avx512 matvec failed at n=" << n;
-    }
-}
-
 TEST(Kernels, BlockedGemmMatchesScalarAtLargeDims)
 {
     // Dimensions at and above kGemmBlockThreshold route square gemms
@@ -583,7 +543,7 @@ TEST(Kernels, EvolveInnerLoopAllocsAreDurationIndependent)
     params.anharmonicityGhz = -0.33;
     params.driveStrengthGhz = 0.25;
     PulseSimulator sim(TransmonModel::single(params, 3));
-    sim.setCachingEnabled(false);
+    sim.setStepSource(StepSource::DriftKernel);
 
     const auto makeSchedule = [](long duration) {
         Schedule schedule("x");

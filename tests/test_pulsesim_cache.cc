@@ -104,7 +104,7 @@ TEST(PulseSimCache, UnitaryMatchesUncachedOnCrEcho)
 {
     const PulseSimulator cached = crPairSimulator();
     PulseSimulator exact = crPairSimulator();
-    exact.setCachingEnabled(false);
+    exact.setStepSource(StepSource::DriftKernel);
     const Schedule schedule = crEchoSchedule();
 
     const UnitaryResult a = cached.evolveUnitary(schedule);
@@ -120,7 +120,7 @@ TEST(PulseSimCache, StateMatchesUncachedOnCrEcho)
 {
     const PulseSimulator cached = crPairSimulator();
     PulseSimulator exact = crPairSimulator();
-    exact.setCachingEnabled(false);
+    exact.setStepSource(StepSource::DriftKernel);
     const Schedule schedule = crEchoSchedule();
 
     Vector ground(9);
@@ -134,7 +134,7 @@ TEST(PulseSimCache, LindbladMatchesUncachedOnCrEcho)
 {
     const PulseSimulator cached = crPairSimulator(50.0, 70.0);
     PulseSimulator exact = crPairSimulator(50.0, 70.0);
-    exact.setCachingEnabled(false);
+    exact.setStepSource(StepSource::DriftKernel);
     const Schedule schedule = crEchoSchedule();
 
     Matrix rho0(9, 9);
@@ -186,7 +186,7 @@ TEST(PulseSimCache, TinyCapacityEvictsButStaysCorrect)
     // (~80 unique keys); the result must not change.
     PulseSimulator sim(TransmonModel::single(testQubit(), 3));
     PulseSimulator exact(TransmonModel::single(testQubit(), 3));
-    exact.setCachingEnabled(false);
+    exact.setStepSource(StepSource::DriftKernel);
     auto tiny = std::make_shared<PropagatorCache>(2);
     sim.setPropagatorCache(tiny);
 
@@ -314,34 +314,95 @@ TEST(PulseSimCache, PerCallMemoIsBitIdenticalWhereKeysNeverRepeat)
               0u);
 }
 
+/** Every evolve entry point's output on one schedule, flattened. */
+struct EngineOutputs
+{
+    std::vector<Complex> unitary, state, lindblad, statePanel,
+        densityPanel;
+};
+
+EngineOutputs
+runEveryEntryPoint(const PulseSimulator &sim, const Schedule &schedule)
+{
+    const std::size_t dim = sim.model().dim();
+    Vector ground(dim);
+    ground[0] = Complex{1.0, 0.0};
+    Matrix rho0(dim, dim);
+    rho0(0, 0) = Complex{1.0, 0.0};
+    StatePanel states(dim, 3);
+    states.setZero();
+    for (std::size_t col = 0; col < 3; ++col)
+        states.at(col, col) = Complex{1.0, 0.0};
+    DensityPanel rhos(dim, 2);
+    rhos.setZero();
+    for (std::size_t col = 0; col < 2; ++col)
+        rhos.at(col, col, col) = Complex{1.0, 0.0};
+    Workspace ws;
+
+    EngineOutputs out;
+    out.unitary = sim.evolveUnitary(schedule).unitary.data();
+    out.state = sim.evolveState(schedule, ground).data();
+    out.lindblad = sim.evolveLindblad(schedule, rho0).data();
+    sim.evolveStatesBatched(schedule, states, ws);
+    out.statePanel = states.storage().data();
+    sim.evolveLindbladBatched(schedule, rhos, ws);
+    out.densityPanel = rhos.storage().data();
+    return out;
+}
+
+double
+maxAbsDiff(const std::vector<Complex> &a, const std::vector<Complex> &b)
+{
+    EXPECT_EQ(a.size(), b.size());
+    double max_diff = 0.0;
+    for (std::size_t k = 0; k < a.size() && k < b.size(); ++k)
+        max_diff = std::max(max_diff, std::abs(a[k] - b[k]));
+    return max_diff;
+}
+
 TEST(PulseSimCache, DriftKernelMatchesLegacyUncachedPath)
 {
-    // The drift-frame kernel (prediagonalized H0, warm-started Jacobi,
-    // in-place SIMD products) must agree with the pre-overhaul cold
-    // per-sample path to 1e-12 on the full CR-echo schedule, for all
-    // three evolution flavours.
-    PulseSimulator fast = crPairSimulator(50.0, 70.0);
-    PulseSimulator legacy = crPairSimulator(50.0, 70.0);
-    fast.setCachingEnabled(false);
-    legacy.setCachingEnabled(false);
-    legacy.setDriftKernelEnabled(false);
+    // The evolve engine as one table: all five entry points under the
+    // Cached and DriftKernel step sources against the Reference oracle
+    // (one cold propagator per sample) on the full CR echo with T1/T2,
+    // to 1e-12. Every source also runs evolveLindblad as a width-1
+    // evolveLindbladBatched, bit for bit.
     const Schedule schedule = crEchoSchedule();
-
-    const UnitaryResult a = fast.evolveUnitary(schedule);
-    const UnitaryResult b = legacy.evolveUnitary(schedule);
-    EXPECT_LE(maxAbsDiff(a.unitary, b.unitary), 1e-12);
-
-    Vector ground(9);
-    ground[0] = Complex{1.0, 0.0};
-    EXPECT_LE(maxAbsDiff(fast.evolveState(schedule, ground),
-                         legacy.evolveState(schedule, ground)),
-              1e-12);
+    const auto simulator = [](StepSource source) {
+        PulseSimulator sim = crPairSimulator(50.0, 70.0);
+        sim.setStepSource(source);
+        return sim;
+    };
+    const EngineOutputs reference =
+        runEveryEntryPoint(simulator(StepSource::Reference), schedule);
+    for (const StepSource source :
+         {StepSource::Cached, StepSource::DriftKernel}) {
+        SCOPED_TRACE(static_cast<int>(source));
+        const EngineOutputs got =
+            runEveryEntryPoint(simulator(source), schedule);
+        EXPECT_LE(maxAbsDiff(got.unitary, reference.unitary), 1e-12);
+        EXPECT_LE(maxAbsDiff(got.state, reference.state), 1e-12);
+        EXPECT_LE(maxAbsDiff(got.lindblad, reference.lindblad), 1e-12);
+        EXPECT_LE(maxAbsDiff(got.statePanel, reference.statePanel),
+                  1e-12);
+        EXPECT_LE(maxAbsDiff(got.densityPanel, reference.densityPanel),
+                  1e-12);
+    }
 
     Matrix rho0(9, 9);
     rho0(0, 0) = Complex{1.0, 0.0};
-    EXPECT_LE(maxAbsDiff(fast.evolveLindblad(schedule, rho0),
-                         legacy.evolveLindblad(schedule, rho0)),
-              1e-12);
+    for (const StepSource source :
+         {StepSource::Cached, StepSource::DriftKernel,
+          StepSource::Reference}) {
+        SCOPED_TRACE(static_cast<int>(source));
+        const PulseSimulator sim = simulator(source);
+        DensityPanel single(9, 1);
+        single.setBlock(0, rho0);
+        Workspace ws;
+        sim.evolveLindbladBatched(schedule, single, ws);
+        EXPECT_TRUE(single.storage().data() ==
+                    sim.evolveLindblad(schedule, rho0).data());
+    }
 }
 
 TEST(PulseSimCache, DriftKernelWarmStartCutsJacobiSweeps)
@@ -352,7 +413,7 @@ TEST(PulseSimCache, DriftKernelWarmStartCutsJacobiSweeps)
         reg.counter("sim.eig.warm.sweeps");
 
     PulseSimulator sim = crPairSimulator();
-    sim.setCachingEnabled(false);
+    sim.setStepSource(StepSource::DriftKernel);
     const std::uint64_t calls0 = warm_calls.value();
     const std::uint64_t sweeps0 = warm_sweeps.value();
     (void)sim.evolveUnitary(crEchoSchedule());
@@ -421,7 +482,6 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
     PulseShotOptions opts;
     opts.shots = 96;
     opts.seed = 0xFEED;
-    opts.useCache = true;
     opts.maxThreads = 1;
     const PulseShotResult sequential =
         backend->runShots(sim, schedule, opts);
@@ -430,10 +490,11 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
     const PulseShotResult threaded =
         backend->runShots(sim, schedule, opts);
 
-    opts.useCache = false;
-    opts.maxThreads = 4;
+    // The drift-kernel source never touches a cache.
+    PulseSimulator kernel_sim = sim;
+    kernel_sim.setStepSource(StepSource::DriftKernel);
     const PulseShotResult uncached =
-        backend->runShots(sim, schedule, opts);
+        backend->runShots(kernel_sim, schedule, opts);
 
     long total = 0;
     for (const long count : sequential.counts)
@@ -446,7 +507,6 @@ TEST(PulseSimCache, RunShotsDeterministicAcrossThreadsAndCaching)
               0u);
 
     // A different seed must give a different (but still complete) draw.
-    opts.useCache = true;
     opts.seed = 0xBEEF;
     const PulseShotResult reseeded =
         backend->runShots(sim, schedule, opts);

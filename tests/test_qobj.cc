@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the OpenPulse-style JSON serialisation: structural
- * content, sample inlining, round-trips, and physics equivalence of a
- * round-tripped compiled schedule on the pulse simulator.
+ * content, sample inlining, round-trips through the ingest front door
+ * (ingest::parseJob, the format's one reader), and physics equivalence
+ * of a round-tripped compiled schedule on the pulse simulator.
  */
 #include <gtest/gtest.h>
 
 #include "common/constants.h"
 #include "compile/compiler.h"
+#include "ingest/openpulse.h"
 #include "linalg/gates.h"
 #include "pulse/qobj.h"
 
@@ -26,6 +28,24 @@ sampleSchedule()
     schedule.shiftFrequency(driveChannel(1), -0.33);
     schedule.acquire(acquireChannel(0), 32);
     return schedule;
+}
+
+/** Read a payload back through the ingest front door. */
+Schedule
+reparse(const std::string &json)
+{
+    ingest::IngestedJob job;
+    const Status status = ingest::parseJob(json, {}, job);
+    EXPECT_TRUE(status.ok()) << status.toString();
+    return job.schedule;
+}
+
+/** The structured rejection code for a payload (Ok if it parses). */
+ErrorCode
+rejection(const std::string &json)
+{
+    ingest::IngestedJob job;
+    return ingest::parseJob(json, {}, job).code();
 }
 
 TEST(Qobj, EmitsStructuralFields)
@@ -53,7 +73,7 @@ TEST(Qobj, RoundTripPreservesStructure)
     options.includeSamples = true;
     const Schedule original = sampleSchedule();
     const Schedule reparsed =
-        scheduleFromQobjJson(scheduleToQobjJson(original, options));
+        reparse(scheduleToQobjJson(original, options));
 
     EXPECT_EQ(reparsed.name(), original.name());
     EXPECT_EQ(reparsed.duration(), original.duration());
@@ -90,7 +110,7 @@ TEST(Qobj, RoundTrippedScheduleSamePhysics)
     QobjWriteOptions options;
     options.includeSamples = true;
     const Schedule reparsed =
-        scheduleFromQobjJson(scheduleToQobjJson(original, options));
+        reparse(scheduleToQobjJson(original, options));
 
     Calibrator calibrator(config);
     PulseSimulator sim(calibrator.qubitModel(0));
@@ -103,12 +123,13 @@ TEST(Qobj, RoundTrippedScheduleSamePhysics)
 
 TEST(Qobj, ParseErrorsAreFatal)
 {
-    EXPECT_THROW(scheduleFromQobjJson("not json"), FatalError);
-    EXPECT_THROW(scheduleFromQobjJson("{\"bogus\": 1}"), FatalError);
+    // Malformed payloads come back as a structured code, never a throw.
+    EXPECT_EQ(rejection("not json"), ErrorCode::MalformedJson);
+    EXPECT_EQ(rejection("{\"bogus\": 1}"), ErrorCode::UnknownField);
     // Play without samples cannot round-trip.
     const std::string no_samples =
         scheduleToQobjJson(sampleSchedule()); // Samples omitted.
-    EXPECT_THROW(scheduleFromQobjJson(no_samples), FatalError);
+    EXPECT_EQ(rejection(no_samples), ErrorCode::SchemaError);
 }
 
 } // namespace
