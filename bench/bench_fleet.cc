@@ -1,6 +1,6 @@
 /**
  * @file
- * Fleet bench: drive the fleet-mode ExecutionService over an 8-member
+ * Fleet bench: drive the ExecutionService over an 8-member
  * BackendPool with independent seed-derived fault plans and emit
  * BENCH_fleet.json.
  *
@@ -116,9 +116,6 @@ fleetServicePolicy()
 {
     ServicePolicy policy;
     policy.queueCapacity = 4096;
-    policy.retry.maxAttempts = 2;
-    policy.breaker.window = 4;
-    policy.breaker.minSamples = 2;
     policy.fleet.failoverBudget = 5;
     // 16 workload tenants with mixed weights; t00 runs over-quota to
     // exercise admission. "ops" is deliberately light so maintenance

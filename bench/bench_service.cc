@@ -12,10 +12,14 @@
  *     terminates the job at the service gate without touching the
  *     backend.
  *  3. Wedged backend — 100% injected timeouts: the circuit breaker
- *     trips after the failure window fills and the rest of the job set
- *     fast-fails with `unavailable` instead of burning retry budgets.
- *  4. Recovery — the faults clear; half-open probes succeed, the
- *     breaker closes, and subsequent jobs complete.
+ *     trips after the failure window fills, the backend (the one
+ *     member of the service's BackendPool) is quarantined, and the
+ *     rest of the job set fast-fails with `unavailable` instead of
+ *     burning retry budgets.
+ *  4. Recovery — the faults clear; the pool's probe pump (one pump
+ *     between drained jobs) spends the cooldown, then runs half-open
+ *     probe jobs of its own; once enough succeed the breaker closes,
+ *     the backend is re-admitted, and subsequent jobs complete.
  *
  * Every deadline is a virtual-time budget (or a generous
  * afterMsOrBudget that never fires), and the breaker cooldown is
@@ -77,11 +81,12 @@ generous(const Scenario &s)
 
 /**
  * The thread-count-invariant digest CI compares across QPULSE_THREADS:
- * every service counter plus each job's terminal code (and, for
- * partials, the deterministic shots-completed fraction).
+ * every service counter, the pool's quarantine/probe counters, plus
+ * each job's terminal code (and, for partials, the deterministic
+ * shots-completed fraction).
  */
 std::string
-fingerprint(const ServiceStats &stats,
+fingerprint(const ServiceStats &stats, const FleetStats &pool,
             const std::vector<JobOutcome> &outcomes)
 {
     std::string fp =
@@ -93,7 +98,11 @@ fingerprint(const ServiceStats &stats,
         " deadline_exceeded=" + std::to_string(stats.deadlineExceeded) +
         " breaker_fastfails=" + std::to_string(stats.breakerFastFails) +
         " completed=" + std::to_string(stats.completed) +
-        " failed=" + std::to_string(stats.failed) + " |";
+        " failed=" + std::to_string(stats.failed) +
+        " quarantines=" + std::to_string(pool.quarantines) +
+        " probes=" + std::to_string(pool.probes) +
+        " probe_failures=" + std::to_string(pool.probeFailures) +
+        " readmissions=" + std::to_string(pool.readmissions) + " |";
     for (const JobOutcome &out : outcomes) {
         fp += " " + std::to_string(out.id) + ":" +
               errorCodeName(out.status.code());
@@ -135,10 +144,12 @@ main()
 
     ServicePolicy policy;
     policy.queueCapacity = kQueueCapacity;
-    policy.retry.maxAttempts = 2;
-    policy.retry.jitter = 0.0;
-    policy.retry.maxTotalBackoffMs = 32.0;
-    ExecutionService service(backend, sim, policy);
+    BackendPool::Policies pool_policies;
+    pool_policies.retry.maxAttempts = 2;
+    pool_policies.retry.jitter = 0.0;
+    pool_policies.retry.maxTotalBackoffMs = 32.0;
+    ExecutionService service(backend, sim, policy, pool_policies);
+    BackendPool &pool = service.pool();
 
     Scenario s{service, primary.schedule, secondary.schedule};
     s.budgetUnits = static_cast<std::uint64_t>(
@@ -177,7 +188,8 @@ main()
     // first and fast-fails most of the second.
     FaultPlan wedged;
     wedged.timeoutRate = 1.0;
-    service.setFaultInjector(std::make_shared<FaultInjector>(wedged));
+    pool.setFaultInjector("default",
+                          std::make_shared<FaultInjector>(wedged));
     for (int batch = 0; batch < 2; ++batch) {
         for (int i = 0; i < 4; ++i)
             (void)service.submit(
@@ -185,9 +197,10 @@ main()
         drainInto();
     }
 
-    // Phase 4: faults clear. Cooldown denials, then successful
-    // half-open probes close the breaker and the tail completes.
-    service.setFaultInjector(nullptr);
+    // Phase 4: faults clear. The probe pump spends the cooldown, then
+    // successful half-open probe jobs close the breaker and re-admit
+    // the backend, and the tail completes.
+    pool.setFaultInjector("default", nullptr);
     for (int i = 0; i < 4; ++i)
         (void)service.submit(makeJob(s, /*priority=*/0, generous(s)));
     drainInto();
@@ -196,7 +209,8 @@ main()
     drainInto();
 
     const ServiceStats &stats = service.stats();
-    const CircuitBreaker &brk = service.breaker("default");
+    const FleetStats &fleet = pool.stats();
+    const CircuitBreaker &brk = pool.breaker("default");
     const telemetry::Histogram::Snapshot latency =
         telemetry::MetricsRegistry::global()
             .histogram("service.job.wall_us")
@@ -217,13 +231,18 @@ main()
     table.addRow({"breaker trips", std::to_string(brk.trips())});
     table.addRow(
         {"breaker state", breakerStateName(brk.state())});
+    table.addRow({"quarantines", std::to_string(fleet.quarantines)});
+    table.addRow({"probes", std::to_string(fleet.probes)});
+    table.addRow(
+        {"probe failures", std::to_string(fleet.probeFailures)});
+    table.addRow({"readmissions", std::to_string(fleet.readmissions)});
     table.addRow(
         {"job latency p50 (us)", fmtFixed(latency.p50(), 1)});
     table.addRow(
         {"job latency p95 (us)", fmtFixed(latency.p95(), 1)});
     std::printf("%s\n", table.render().c_str());
 
-    const std::string fp = fingerprint(stats, all);
+    const std::string fp = fingerprint(stats, fleet, all);
     std::printf("determinism-fingerprint: %s\n", fp.c_str());
 
     // Acceptance.
@@ -249,8 +268,11 @@ main()
             partial_surfaced = true;
     const bool breaker_tripped =
         brk.trips() >= 1 && stats.breakerFastFails > 0;
+    // Recovery means re-admission through probe jobs, as in
+    // bench_fleet's quarantine check.
     const bool breaker_recovered =
-        brk.state() == BreakerState::Closed && all.size() >= 2 &&
+        brk.state() == BreakerState::Closed && fleet.readmissions >= 1 &&
+        all.size() >= 2 &&
         all[all.size() - 1].status.ok() &&
         all[all.size() - 2].status.ok();
     const bool cancelled_cleanly = stats.cancelled == 1;
@@ -290,6 +312,11 @@ main()
                  breakerStateName(brk.state()),
                  static_cast<unsigned long long>(brk.trips()),
                  static_cast<unsigned long long>(brk.denials()));
+    std::fprintf(out,
+                 "  \"pool\": {\"quarantines\": %ld, \"probes\": %ld, "
+                 "\"probe_failures\": %ld, \"readmissions\": %ld},\n",
+                 fleet.quarantines, fleet.probes, fleet.probeFailures,
+                 fleet.readmissions);
     std::fprintf(out,
                  "  \"job_latency_us\": {\"p50\": %.1f, "
                  "\"p95\": %.1f},\n",

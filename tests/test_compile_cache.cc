@@ -385,18 +385,22 @@ TEST(CompileCacheService, WatchdogRecalibrationInvalidates)
     const Rig rig;
 
     ServicePolicy policy;
-    policy.watchdog.tolerance = 0.1;
-    policy.watchdog.maxRecalibrations = 2;
     policy.maxThreads = 1;
-    ExecutionService service(rig.backend, rig.sim, policy);
-    ASSERT_NE(service.compileCache(), nullptr);
-    const std::uint64_t gen0 = service.compiler().compileGeneration();
+    BackendPool::Policies pool_policies;
+    pool_policies.watchdog.tolerance = 0.1;
+    pool_policies.watchdog.maxRecalibrations = 2;
+    ExecutionService service(rig.backend, rig.sim, policy,
+                             pool_policies);
+    BackendPool &pool = service.pool();
+    ASSERT_NE(pool.compileCache(), nullptr);
+    const std::uint64_t gen0 = pool.compileGeneration("default");
 
     FaultPlan plan;
     plan.driftRate = 1.0;
     plan.driftFreqKhz = 8000.0;
     plan.driftAmpError = 0.3;
-    service.setFaultInjector(std::make_shared<FaultInjector>(plan));
+    pool.setFaultInjector("default",
+                          std::make_shared<FaultInjector>(plan));
 
     ASSERT_TRUE(service.submit(circuitJob(/*shots=*/512)).ok());
     const std::vector<JobOutcome> outcomes = service.drain();
@@ -407,12 +411,12 @@ TEST(CompileCacheService, WatchdogRecalibrationInvalidates)
 
     // The watchdog recalibration advanced the compile generation, so
     // the same circuit misses (its old schedule is unreachable).
-    EXPECT_NE(service.compiler().compileGeneration(), gen0);
+    EXPECT_NE(pool.compileGeneration("default"), gen0);
     const std::uint64_t misses_before =
-        service.compileCache()->stats().misses;
+        pool.compileCache()->stats().misses;
     ASSERT_TRUE(service.submit(circuitJob()).ok());
     service.drain();
-    EXPECT_GT(service.compileCache()->stats().misses, misses_before);
+    EXPECT_GT(pool.compileCache()->stats().misses, misses_before);
 }
 
 TEST(CompileCacheFleet, DrainReadmitInvalidatesPerMember)
@@ -453,7 +457,9 @@ TEST(CompileCacheFleet, FailoverHopCompilesAreCacheHits)
 {
     EnvGuard guard("QPULSE_CACHE_DIR", nullptr);
     const Rig rig;
-    auto pool = std::make_shared<BackendPool>();
+    BackendPool::Policies policies;
+    policies.retry.maxAttempts = 2;
+    auto pool = std::make_shared<BackendPool>(policies);
     pool->addBackend("b0", rig.backend, rig.sim);
     pool->addBackend("b1", rig.backend, rig.sim);
 
@@ -465,7 +471,6 @@ TEST(CompileCacheFleet, FailoverHopCompilesAreCacheHits)
 
     ServicePolicy policy;
     policy.maxThreads = 1;
-    policy.retry.maxAttempts = 2;
     ExecutionService service(pool, policy);
 
     ASSERT_TRUE(service.submit(circuitJob()).ok());

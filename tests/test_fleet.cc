@@ -3,7 +3,7 @@
  * Tests for the fault-tolerant backend fleet: BackendPool health
  * scoring and routing order, quarantine on breaker trip, probe-driven
  * recovery (and its admin-path exclusivity), graceful drain/readmit,
- * and the fleet-mode ExecutionService — cross-backend failover with
+ * and the ExecutionService over a pool — cross-backend failover with
  * breadcrumbs, pinned jobs, per-tenant quotas, weighted-fair dequeue,
  * and the virtual-time determinism contract across thread counts.
  */
@@ -355,8 +355,6 @@ fleetServicePolicy(std::size_t capacity = 64)
     ServicePolicy policy;
     policy.queueCapacity = capacity;
     policy.maxThreads = 1;
-    policy.retry.maxAttempts = 2;
-    policy.breaker = snappyBreaker();
     return policy;
 }
 
@@ -700,21 +698,6 @@ TEST(FleetService, VirtualTimeFleetRunsBitIdenticalAcrossThreads)
     // The scenario exercised the interesting machinery.
     EXPECT_GT(seq.quarantines, 0);
     EXPECT_GT(seq.failovers, 0);
-}
-
-TEST(FleetService, LegacyAccessorsFatalInFleetMode)
-{
-    const Substrate sub;
-    auto pool = makePool(sub, 1, poolPolicies());
-    ExecutionService service(pool, fleetServicePolicy());
-    EXPECT_TRUE(service.fleetMode());
-    EXPECT_THROW(service.executor(), FatalError);
-    EXPECT_THROW(service.setFaultInjector(nullptr), FatalError);
-
-    ExecutionService legacy(sub.backend, sub.sim,
-                            fleetServicePolicy());
-    EXPECT_FALSE(legacy.fleetMode());
-    EXPECT_THROW(legacy.pool(), FatalError);
 }
 
 } // namespace

@@ -28,6 +28,7 @@
 #include "ingest/openpulse.h"
 #include "pulse/qobj.h"
 #include "service/execution_service.h"
+#include "telemetry/metrics.h"
 
 namespace qpulse {
 namespace ingest {
@@ -703,6 +704,69 @@ TEST(IngestFrontEnd, FaultedDeliveryIsDeterministic)
     for (const std::string &entry : first)
         sawReject |= entry.rfind("rejected:", 0) == 0;
     EXPECT_TRUE(sawReject);
+}
+
+TEST(IngestFrontEnd, UnknownBackendFailsStructuredAndMintsNothing)
+{
+    // The envelope's "backend" is untrusted input: a name the service
+    // does not hold must end the request with a structured error, and
+    // must not mint a breaker or a telemetry series per distinct name.
+    Rig rig;
+    ExecutionService service(rig.backend, rig.sim);
+    RequestFrontEnd front(service, rigPolicy(rig));
+    std::vector<StreamEvent> events;
+    front.setEventSink(
+        [&](const StreamEvent &e) { events.push_back(e); });
+
+    // One well-formed request first, so every lazily registered
+    // series of the front end, the service and its backend exists.
+    const int warm = front.open();
+    front.feed(warm, rig.envelopeJson(16, "warm"));
+    front.finish(warm);
+    front.run();
+    ASSERT_EQ(front.stats().completed, 1);
+    const ServiceStats before = service.stats();
+    const std::size_t gauges =
+        telemetry::MetricsRegistry::global().snapshot().gauges.size();
+
+    constexpr int kUnknown = 32;
+    events.clear();
+    for (int i = 0; i < kUnknown; ++i) {
+        std::string doc =
+            rig.envelopeJson(16, "ghost" + std::to_string(i));
+        doc.pop_back(); // Reopen the envelope object.
+        doc += ", \"backend\": \"ghost-" + std::to_string(i) + "\"}";
+        const int conn = front.open();
+        front.feed(conn, doc);
+        front.finish(conn);
+    }
+    front.run();
+
+    EXPECT_EQ(
+        telemetry::MetricsRegistry::global().snapshot().gauges.size(),
+        gauges);
+    // Nothing executed: every chunk failed at routing.
+    EXPECT_EQ(service.stats().completed, before.completed);
+    EXPECT_EQ(service.stats().failed, before.failed + kUnknown);
+    EXPECT_EQ(front.stats().failed, kUnknown);
+    EXPECT_EQ(front.stats().completed, 1);
+
+    std::vector<StreamEvent> failed;
+    for (const StreamEvent &e : events) {
+        EXPECT_NE(e.kind, StreamEventKind::Partial);
+        EXPECT_NE(e.kind, StreamEventKind::Completed);
+        if (e.kind == StreamEventKind::Failed)
+            failed.push_back(e);
+    }
+    ASSERT_EQ(failed.size(), static_cast<std::size_t>(kUnknown));
+    for (const StreamEvent &e : failed) {
+        EXPECT_EQ(e.status.code(), ErrorCode::InvalidArgument);
+        const std::string name =
+            "'ghost-" + e.key.substr(std::string("ghost").size()) + "'";
+        EXPECT_NE(e.status.message().find(name), std::string::npos)
+            << e.status.message();
+        EXPECT_EQ(e.shotsCompleted, 0);
+    }
 }
 
 TEST(IngestFaultPlan, IngestKeysRoundTripThroughSpec)

@@ -497,9 +497,10 @@ TEST(Breaker, ServiceRefusesToStartWithDegenerateBreakerPolicy)
     const Rig rig;
     ServicePolicy policy;
     policy.queueCapacity = 4;
-    policy.breaker.minSamples = policy.breaker.window + 1;
-    EXPECT_THROW(ExecutionService service(rig.backend, rig.sim,
-                                          policy),
+    BackendPool::Policies pool;
+    pool.breaker.minSamples = pool.breaker.window + 1;
+    EXPECT_THROW(ExecutionService service(rig.backend, rig.sim, policy,
+                                          pool),
                  StatusError);
 }
 
@@ -539,6 +540,19 @@ smallQueuePolicy(std::size_t capacity)
     policy.queueCapacity = capacity;
     policy.maxThreads = 1;
     return policy;
+}
+
+/** Two retries and a breaker that trips on two failures in a row. */
+BackendPool::Policies
+trippingPoolPolicies(int cooldown_denials)
+{
+    BackendPool::Policies policies;
+    policies.retry.maxAttempts = 2;
+    policies.breaker.window = 4;
+    policies.breaker.minSamples = 2;
+    policies.breaker.openFailureRate = 0.5;
+    policies.breaker.cooldownDenials = cooldown_denials;
+    return policies;
 }
 
 JobRequest
@@ -615,14 +629,10 @@ TEST(Service, WedgedBackendTripsBreakerAndFastFailsTheQueue)
     FaultPlan plan;
     plan.timeoutRate = 1.0; // 100% timeouts: fully wedged.
 
-    ServicePolicy policy = smallQueuePolicy(16);
-    policy.retry.maxAttempts = 2;
-    policy.breaker.window = 4;
-    policy.breaker.minSamples = 2;
-    policy.breaker.openFailureRate = 0.5;
-    policy.breaker.cooldownDenials = 3;
-    ExecutionService service(rig.backend, rig.sim, policy);
-    service.setFaultInjector(std::make_shared<FaultInjector>(plan));
+    ExecutionService service(rig.backend, rig.sim, smallQueuePolicy(16),
+                             trippingPoolPolicies(3));
+    service.pool().setFaultInjector(
+        "default", std::make_shared<FaultInjector>(plan));
 
     for (int i = 0; i < 10; ++i)
         EXPECT_TRUE(service.submit(makeJob(rig, 0, 16)).ok());
@@ -645,27 +655,27 @@ TEST(Service, WedgedBackendTripsBreakerAndFastFailsTheQueue)
     EXPECT_GE(exhausted, 2);
     EXPECT_GE(fastfailed, 3);
     EXPECT_EQ(service.stats().breakerFastFails, fastfailed);
-    EXPECT_EQ(service.breaker("default").state(), BreakerState::Open);
+    EXPECT_EQ(service.pool().adminState("default"),
+              BackendAdminState::Quarantined);
+    EXPECT_EQ(service.pool().breaker("default").state(),
+              BreakerState::Open);
 }
 
 TEST(Service, UnavailableStatusNamesBackendStateAndCooldown)
 {
     const Rig rig;
-    ServicePolicy policy = smallQueuePolicy(16);
-    policy.retry.maxAttempts = 2;
-    policy.breaker.window = 4;
-    policy.breaker.minSamples = 2;
-    policy.breaker.openFailureRate = 0.5;
-    policy.breaker.cooldownDenials = 3;
-    ExecutionService service(rig.backend, rig.sim, policy);
-    service.setFaultInjector(
-        std::make_shared<FaultInjector>([] {
+    ExecutionService service(rig.backend, rig.sim, smallQueuePolicy(16),
+                             trippingPoolPolicies(3));
+    service.pool().setFaultInjector(
+        "default", std::make_shared<FaultInjector>([] {
             FaultPlan plan;
             plan.timeoutRate = 1.0;
             return plan;
         }()));
 
-    // Two failed jobs trip the breaker; the third is denied.
+    // Two failed jobs trip the breaker and quarantine the only
+    // member; the probe pump after the second spends one cooldown
+    // denial, and the third job finds no active member.
     for (int i = 0; i < 3; ++i)
         EXPECT_TRUE(service.submit(makeJob(rig, 0, 16)).ok());
     const std::vector<JobOutcome> outcomes = service.drain();
@@ -683,28 +693,29 @@ TEST(Service, UnavailableStatusNamesBackendStateAndCooldown)
         << message;
     EXPECT_NE(message.find("2 more denied jobs"), std::string::npos)
         << message;
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 2);
+    // The pump after the denied job spent one more denial.
+    EXPECT_EQ(service.pool().breaker("default").cooldownRemaining(), 1);
 }
 
 TEST(Service, HalfOpenProbeFailureReopensAndRestartsCooldown)
 {
-    // Deterministic breaker trajectory under virtual time: trip ->
-    // cooldown (counted in denied jobs) -> half-open probe fails ->
-    // re-open with a fresh cooldown -> fault clears -> probes close.
+    // Deterministic recovery trajectory of a single backend under
+    // virtual time: trip -> quarantine -> cooldown (one denial per
+    // probe pump, and the service pumps before and after every
+    // drained job) -> half-open probe fails -> re-open with a fresh
+    // cooldown -> fault clears -> two probes close the breaker and
+    // re-admit the member. Jobs drained meanwhile fail fast.
     EnvGuard guard("QPULSE_VIRTUAL_TIME", "1");
     const Rig rig;
-    ServicePolicy policy = smallQueuePolicy(16);
-    policy.retry.maxAttempts = 2;
-    policy.breaker.window = 4;
-    policy.breaker.minSamples = 2;
-    policy.breaker.openFailureRate = 0.5;
-    policy.breaker.cooldownDenials = 2;
-    policy.breaker.halfOpenSuccesses = 2;
-    ExecutionService service(rig.backend, rig.sim, policy);
+    BackendPool::Policies pool_policies = trippingPoolPolicies(2);
+    pool_policies.breaker.halfOpenSuccesses = 2;
+    ExecutionService service(rig.backend, rig.sim, smallQueuePolicy(16),
+                             pool_policies);
+    BackendPool &pool = service.pool();
     FaultPlan wedged;
     wedged.timeoutRate = 1.0;
-    service.setFaultInjector(
-        std::make_shared<FaultInjector>(wedged));
+    pool.setFaultInjector("default",
+                          std::make_shared<FaultInjector>(wedged));
 
     const auto drainCodes = [&](int jobs) {
         for (int i = 0; i < jobs; ++i)
@@ -714,45 +725,55 @@ TEST(Service, HalfOpenProbeFailureReopensAndRestartsCooldown)
             codes.push_back(out.status.code());
         return codes;
     };
+    const auto admin = [&] { return pool.adminState("default"); };
+    const auto breaker = [&]() -> const CircuitBreaker & {
+        return pool.breaker("default");
+    };
 
-    // Trip: two retries-exhausted jobs open the breaker.
+    // Trip: two retries-exhausted jobs open the breaker and quarantine
+    // the member; the pump after the second spends one denial.
     EXPECT_EQ(drainCodes(2),
               (std::vector<ErrorCode>{ErrorCode::RetriesExhausted,
                                       ErrorCode::RetriesExhausted}));
-    EXPECT_EQ(service.breaker("default").state(), BreakerState::Open);
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 2);
+    EXPECT_EQ(admin(), BackendAdminState::Quarantined);
+    EXPECT_EQ(breaker().state(), BreakerState::Open);
+    EXPECT_EQ(breaker().cooldownRemaining(), 1);
+    EXPECT_EQ(pool.stats().quarantines, 1);
+    EXPECT_EQ(pool.stats().probes, 0);
 
-    // Cooldown accounting: each denied job spends one denial.
+    // The pump before the next job spends the last denial; the job
+    // finds no active member. The pump after it runs the half-open
+    // probe, which (still wedged) fails: the breaker re-opens and the
+    // cooldown restarts in full.
     EXPECT_EQ(drainCodes(1),
               (std::vector<ErrorCode>{ErrorCode::Unavailable}));
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 1);
+    EXPECT_EQ(pool.stats().probes, 1);
+    EXPECT_EQ(pool.stats().probeFailures, 1);
+    EXPECT_EQ(admin(), BackendAdminState::Quarantined);
+    EXPECT_EQ(breaker().state(), BreakerState::Open);
+    EXPECT_EQ(breaker().cooldownRemaining(), 2);
+
+    // The fault clears. Two pumps spend the fresh cooldown.
+    pool.setFaultInjector("default", nullptr);
     EXPECT_EQ(drainCodes(1),
               (std::vector<ErrorCode>{ErrorCode::Unavailable}));
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 0);
-    EXPECT_EQ(service.stats().breakerFastFails, 2);
+    EXPECT_EQ(breaker().cooldownRemaining(), 0);
+    EXPECT_EQ(pool.stats().probes, 1);
 
-    // Cooldown spent: the next job is the half-open probe. Still
-    // wedged, it fails — the breaker re-opens and the cooldown
-    // restarts in full.
+    // The next two pumps are successful probes: the first leaves the
+    // breaker half-open (the member stays quarantined, so the job
+    // between them fails fast), the second closes it and re-admits.
     EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::RetriesExhausted}));
-    EXPECT_EQ(service.breaker("default").state(), BreakerState::Open);
-    EXPECT_EQ(service.breaker("default").cooldownRemaining(), 2);
+              (std::vector<ErrorCode>{ErrorCode::Unavailable}));
+    EXPECT_EQ(pool.stats().probes, 3);
+    EXPECT_EQ(pool.stats().probeFailures, 1);
+    EXPECT_EQ(pool.stats().readmissions, 1);
+    EXPECT_EQ(admin(), BackendAdminState::Active);
+    EXPECT_EQ(breaker().state(), BreakerState::Closed);
+    EXPECT_EQ(service.stats().breakerFastFails, 3);
 
-    // The fault clears; the same path now closes the breaker: two
-    // denials, then two successful probes.
-    service.setFaultInjector(nullptr);
-    EXPECT_EQ(drainCodes(2),
-              (std::vector<ErrorCode>{ErrorCode::Unavailable,
-                                      ErrorCode::Unavailable}));
-    EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::Ok}));
-    EXPECT_EQ(service.breaker("default").state(),
-              BreakerState::HalfOpen);
-    EXPECT_EQ(drainCodes(1),
-              (std::vector<ErrorCode>{ErrorCode::Ok}));
-    EXPECT_EQ(service.breaker("default").state(),
-              BreakerState::Closed);
+    // Back in service: jobs run again.
+    EXPECT_EQ(drainCodes(1), (std::vector<ErrorCode>{ErrorCode::Ok}));
 }
 
 TEST(Service, SaturationIsBitIdenticalAcrossThreadCountsUnderVirtualTime)
